@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the hot algorithmic kernels, plus
-// the design-choice ablations DESIGN.md calls out: best-first vs depth-first
-// R-tree kNN, single-span vs partitioned Hilbert retrieval, and NNV cost as
-// a function of the peer count.
+// the design-choice ablations DESIGN.md calls out: single-span vs
+// partitioned Hilbert retrieval, and NNV cost as a function of the peer
+// count.
 
 #include <benchmark/benchmark.h>
 
@@ -19,9 +19,6 @@
 #include "onair/onair_window.h"
 #include "spatial/generators.h"
 #include "storage/system_builder.h"
-#include "spatial/quadtree.h"
-#include "spatial/rstar_tree.h"
-#include "spatial/rtree.h"
 
 namespace {
 
@@ -55,96 +52,6 @@ void BM_HilbertCoverRect(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HilbertCoverRect)->Arg(4)->Arg(6)->Arg(8);
-
-void BM_RTreeInsert(benchmark::State& state) {
-  Rng rng(3);
-  const auto pois = spatial::GenerateUniformPois(
-      &rng, kWorld, state.range(0));
-  for (auto _ : state) {
-    spatial::RTree tree;
-    tree.InsertAll(pois);
-    benchmark::DoNotOptimize(tree.size());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_RTreeInsert)->Arg(1000)->Arg(10000);
-
-// Ablation: the two classic kNN strategies on the same tree.
-void BM_RTreeKnnBestFirst(benchmark::State& state) {
-  Rng rng(4);
-  spatial::RTree tree;
-  tree.InsertAll(spatial::GenerateUniformPois(&rng, kWorld, 20000));
-  for (auto _ : state) {
-    const geom::Point q{rng.Uniform(0.0, 100.0), rng.Uniform(0.0, 100.0)};
-    benchmark::DoNotOptimize(
-        tree.KnnBestFirst(q, static_cast<int>(state.range(0))));
-  }
-}
-BENCHMARK(BM_RTreeKnnBestFirst)->Arg(1)->Arg(10)->Arg(100);
-
-void BM_RTreeKnnDepthFirst(benchmark::State& state) {
-  Rng rng(4);
-  spatial::RTree tree;
-  tree.InsertAll(spatial::GenerateUniformPois(&rng, kWorld, 20000));
-  for (auto _ : state) {
-    const geom::Point q{rng.Uniform(0.0, 100.0), rng.Uniform(0.0, 100.0)};
-    benchmark::DoNotOptimize(
-        tree.KnnDepthFirst(q, static_cast<int>(state.range(0))));
-  }
-}
-BENCHMARK(BM_RTreeKnnDepthFirst)->Arg(1)->Arg(10)->Arg(100);
-
-// Ablation: the same kNN on the three index structures.
-void BM_RStarKnn(benchmark::State& state) {
-  Rng rng(4);
-  spatial::RStarTree tree;
-  tree.InsertAll(spatial::GenerateUniformPois(&rng, kWorld, 20000));
-  for (auto _ : state) {
-    const geom::Point q{rng.Uniform(0.0, 100.0), rng.Uniform(0.0, 100.0)};
-    benchmark::DoNotOptimize(tree.Knn(q, static_cast<int>(state.range(0))));
-  }
-}
-BENCHMARK(BM_RStarKnn)->Arg(1)->Arg(10)->Arg(100);
-
-void BM_QuadTreeKnn(benchmark::State& state) {
-  Rng rng(4);
-  spatial::QuadTree tree(kWorld, 8);
-  tree.InsertAll(spatial::GenerateUniformPois(&rng, kWorld, 20000));
-  for (auto _ : state) {
-    const geom::Point q{rng.Uniform(0.0, 100.0), rng.Uniform(0.0, 100.0)};
-    benchmark::DoNotOptimize(tree.Knn(q, static_cast<int>(state.range(0))));
-  }
-}
-BENCHMARK(BM_QuadTreeKnn)->Arg(1)->Arg(10)->Arg(100);
-
-void BM_WindowQueryByIndex(benchmark::State& state) {
-  Rng rng(9);
-  const auto pois = spatial::GenerateUniformPois(&rng, kWorld, 20000);
-  spatial::RTree rtree;
-  spatial::RStarTree rstar;
-  spatial::QuadTree quad(kWorld, 8);
-  rtree.InsertAll(pois);
-  rstar.InsertAll(pois);
-  quad.InsertAll(pois);
-  const int which = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    const geom::Point a{rng.Uniform(0.0, 90.0), rng.Uniform(0.0, 90.0)};
-    const geom::Rect window{a.x, a.y, a.x + 10.0, a.y + 10.0};
-    switch (which) {
-      case 0:
-        benchmark::DoNotOptimize(rtree.WindowQuery(window));
-        break;
-      case 1:
-        benchmark::DoNotOptimize(rstar.WindowQuery(window));
-        break;
-      default:
-        benchmark::DoNotOptimize(quad.WindowQuery(window));
-        break;
-    }
-  }
-  state.SetLabel(which == 0 ? "guttman" : which == 1 ? "rstar" : "quadtree");
-}
-BENCHMARK(BM_WindowQueryByIndex)->Arg(0)->Arg(1)->Arg(2);
 
 // Wire-format throughput.
 void BM_WireBucketRoundTrip(benchmark::State& state) {

@@ -6,7 +6,6 @@
 
 #include "broadcast/schedule.h"
 #include "common/observability.h"
-#include "common/rng.h"
 
 /// \file
 /// The client side of the general broadcast access protocol (Imielinski et
@@ -84,20 +83,6 @@ AccessStats RetrieveBuckets(const BroadcastSchedule& schedule, int64_t t,
                             const std::vector<int64_t>& buckets,
                             IndexReadMode index_mode = IndexReadMode{},
                             obs::TraceRecorder* trace = nullptr);
-
-/// RetrieveBuckets over an unreliable channel: every bucket reception (index
-/// and data alike) independently fails with probability `loss_prob` (fading,
-/// collisions — wireless broadcast has no retransmission), and the client
-/// retries at the bucket's next on-air occurrence. `loss_prob` in [0, 1);
-/// with 0 this is exactly RetrieveBuckets. Failed receptions still cost
-/// tuning time (the receiver was on).
-///
-/// A non-null `trace` receives the per-stage spans plus the
-/// `bcast.index_retries` / `bcast.data_retries` loss counters.
-AccessStats RetrieveBucketsLossy(const BroadcastSchedule& schedule, int64_t t,
-                                 const std::vector<int64_t>& buckets,
-                                 double loss_prob, Rng* rng,
-                                 obs::TraceRecorder* trace = nullptr);
 
 }  // namespace lbsq::broadcast
 

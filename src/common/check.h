@@ -28,6 +28,24 @@ namespace lbsq::internal {
     }                                                                    \
   } while (false)
 
+/// Validators that report instead of aborting: a function returning
+/// `const char*` states each rule with LBSQ_RULE and returns nullptr after
+/// the last one, so the first rule that does not hold returns its own text.
+/// One rule list then serves both an aborting `Validate()` (through
+/// LBSQ_CHECK_RULES) and a tool that prints the rule as a flag error.
+#define LBSQ_RULE(condition)             \
+  do {                                   \
+    if (!(condition)) return #condition; \
+  } while (false)
+
+/// Aborts, naming the rule, when `violation` (a validator's result) is set.
+#define LBSQ_CHECK_RULES(violation)                                      \
+  do {                                                                   \
+    if (const char* lbsq_violation_ = (violation)) {                     \
+      ::lbsq::internal::CheckFailed(lbsq_violation_, __FILE__, __LINE__); \
+    }                                                                    \
+  } while (false)
+
 /// Convenience comparison checks (report the expression, not the values).
 #define LBSQ_CHECK_EQ(a, b) LBSQ_CHECK((a) == (b))
 #define LBSQ_CHECK_NE(a, b) LBSQ_CHECK((a) != (b))

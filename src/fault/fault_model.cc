@@ -11,8 +11,6 @@ namespace {
 constexpr uint64_t kChannelDomain = 0x11;
 constexpr uint64_t kPeerDomain = 0x22;
 
-void CheckProbability(double p) { LBSQ_CHECK(p >= 0.0 && p <= 1.0); }
-
 }  // namespace
 
 double ChannelFaultConfig::SteadyStateLossRate() const {
@@ -31,13 +29,18 @@ double ChannelFaultConfig::SteadyStateLossRate() const {
   return 0.0;
 }
 
+const char* ChannelFaultConfig::FirstViolation() const {
+  LBSQ_RULE(loss_prob >= 0.0 && loss_prob < 1.0);
+  LBSQ_RULE(p_good_to_bad >= 0.0 && p_good_to_bad <= 1.0);
+  LBSQ_RULE(p_bad_to_good >= 0.0 && p_bad_to_good <= 1.0);
+  LBSQ_RULE(loss_good >= 0.0 && loss_good < 1.0);
+  LBSQ_RULE(loss_bad >= 0.0 && loss_bad < 1.0);
+  LBSQ_RULE(corruption_prob >= 0.0 && corruption_prob < 1.0);
+  return nullptr;
+}
+
 void ChannelFaultConfig::Validate() const {
-  LBSQ_CHECK(loss_prob >= 0.0 && loss_prob < 1.0);
-  CheckProbability(p_good_to_bad);
-  CheckProbability(p_bad_to_good);
-  LBSQ_CHECK(loss_good >= 0.0 && loss_good < 1.0);
-  LBSQ_CHECK(loss_bad >= 0.0 && loss_bad < 1.0);
-  LBSQ_CHECK(corruption_prob >= 0.0 && corruption_prob < 1.0);
+  LBSQ_CHECK_RULES(FirstViolation());
 }
 
 bool GilbertElliottChannel::NextLost(Rng* rng) {
@@ -51,17 +54,31 @@ bool GilbertElliottChannel::NextLost(Rng* rng) {
   return rng->NextBool(bad_ ? config_.loss_bad : config_.loss_good);
 }
 
-void PeerFaultConfig::Validate() const {
-  CheckProbability(stale_prob);
-  CheckProbability(truncate_prob);
-  CheckProbability(flip_prob);
-  LBSQ_CHECK(stale_drift >= 0.0);
+const char* PeerFaultConfig::FirstViolation() const {
+  LBSQ_RULE(stale_prob >= 0.0 && stale_prob <= 1.0);
+  LBSQ_RULE(truncate_prob >= 0.0 && truncate_prob <= 1.0);
+  LBSQ_RULE(flip_prob >= 0.0 && flip_prob <= 1.0);
+  LBSQ_RULE(stale_drift >= 0.0);
+  return nullptr;
 }
 
-void FaultPolicy::Validate() const {
-  LBSQ_CHECK(max_retries_per_bucket >= 0);
-  LBSQ_CHECK(deadline_slots >= 0);
+void PeerFaultConfig::Validate() const { LBSQ_CHECK_RULES(FirstViolation()); }
+
+const char* FaultPolicy::FirstViolation() const {
+  LBSQ_RULE(max_retries_per_bucket >= 0);
+  LBSQ_RULE(deadline_slots >= 0);
+  return nullptr;
 }
+
+void FaultPolicy::Validate() const { LBSQ_CHECK_RULES(FirstViolation()); }
+
+const char* FaultConfig::FirstViolation() const {
+  if (const char* violation = channel.FirstViolation()) return violation;
+  if (const char* violation = peer.FirstViolation()) return violation;
+  return policy.FirstViolation();
+}
+
+void FaultConfig::Validate() const { LBSQ_CHECK_RULES(FirstViolation()); }
 
 uint64_t ChannelStreamSeed(uint64_t fault_seed, uint64_t query_id) {
   return DeriveStreamSeed(DeriveStreamSeed(fault_seed, kChannelDomain),

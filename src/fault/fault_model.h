@@ -74,7 +74,9 @@ struct ChannelFaultConfig {
   /// Gilbert–Elliott.
   double SteadyStateLossRate() const;
 
-  /// Aborts (LBSQ_CHECK) unless every probability is in its legal range.
+  /// The first rule this configuration breaks (every probability in its
+  /// legal range), or null; Validate() aborts (LBSQ_CHECK) on it.
+  const char* FirstViolation() const;
   void Validate() const;
 };
 
@@ -116,8 +118,9 @@ struct PeerFaultConfig {
     return stale_prob > 0.0 || truncate_prob > 0.0 || flip_prob > 0.0;
   }
 
-  /// Aborts (LBSQ_CHECK) unless probabilities are in [0, 1] and
-  /// stale_drift >= 0.
+  /// The first rule this configuration breaks (probabilities in [0, 1],
+  /// stale_drift >= 0), or null; Validate() aborts (LBSQ_CHECK) on it.
+  const char* FirstViolation() const;
   void Validate() const;
 };
 
@@ -131,7 +134,9 @@ struct FaultPolicy {
   /// Total slots a retrieval may span before giving up; 0 = unlimited.
   int64_t deadline_slots = 0;
 
-  /// Aborts (LBSQ_CHECK) on out-of-range values.
+  /// The first out-of-range value's rule, or null; Validate() aborts
+  /// (LBSQ_CHECK) on it.
+  const char* FirstViolation() const;
   void Validate() const;
 };
 
@@ -155,11 +160,10 @@ struct FaultConfig {
     return channel.enabled() || peer.enabled() || screen_peers;
   }
 
-  void Validate() const {
-    channel.Validate();
-    peer.Validate();
-    policy.Validate();
-  }
+  /// The first rule the channel, peer or policy part breaks, or null;
+  /// Validate() aborts (LBSQ_CHECK) on it.
+  const char* FirstViolation() const;
+  void Validate() const;
 };
 
 /// Seed of the channel fault stream of query `query_id` (drives loss,

@@ -11,13 +11,14 @@
 #include "fault/fault_model.h"
 
 /// \file
-/// The client access protocol over a faulty channel. Extends the retry
-/// semantics of `RetrieveBucketsLossy` with burst losses (Gilbert–Elliott),
-/// CRC-detected corruption, and the bounded retry/deadline policy: instead
-/// of retrying forever, the client gives up on buckets whose retry budget or
-/// slot deadline is exhausted and reports them as *failed*, letting the
-/// query layer degrade gracefully (answer from what was received, claim no
-/// verified knowledge it does not have).
+/// The client access protocol over a faulty channel — the one model of
+/// channel loss. A lost reception is retried at the bucket's next on-air
+/// occurrence (wireless broadcast has no retransmission); losses are iid or
+/// bursty (Gilbert–Elliott), CRC-detected corruption counts as a loss, and a
+/// bounded retry/deadline policy lets the client give up on buckets whose
+/// retry budget or slot deadline is exhausted and report them as *failed*,
+/// so the query layer degrades gracefully (answer from what was received,
+/// claim no verified knowledge it does not have).
 
 namespace lbsq::fault {
 

@@ -39,10 +39,6 @@ struct KernelOps {
   void (*distance_batch)(const double* xs, const double* ys, size_t n,
                          double qx, double qy, double* out);
 
-  /// out[i] = (xs[i]-qx)^2 + (ys[i]-qy)^2.
-  void (*distance_squared_batch)(const double* xs, const double* ys, size_t n,
-                                 double qx, double qy, double* out);
-
   /// Appends ids[i] (ascending i) with (xs[i]-cx)^2 + (ys[i]-cy)^2 <= r2 to
   /// `*out`; returns the number appended.
   size_t (*append_ids_within_radius)(const double* xs, const double* ys,
@@ -80,11 +76,6 @@ inline void DistanceBatch(const double* xs, const double* ys, size_t n,
   Ops().distance_batch(xs, ys, n, qx, qy, out);
 }
 
-inline void DistanceSquaredBatch(const double* xs, const double* ys, size_t n,
-                                 double qx, double qy, double* out) {
-  Ops().distance_squared_batch(xs, ys, n, qx, qy, out);
-}
-
 inline size_t AppendIdsWithinRadius(const double* xs, const double* ys,
                                     const int64_t* ids, size_t n, double cx,
                                     double cy, double r2,
@@ -119,8 +110,6 @@ extern const KernelOps kAvx2Ops;
 // reference semantics every tier must reproduce bit-for-bit.
 void DistanceBatchScalar(const double* xs, const double* ys, size_t n,
                          double qx, double qy, double* out);
-void DistanceSquaredBatchScalar(const double* xs, const double* ys, size_t n,
-                                double qx, double qy, double* out);
 size_t AppendIdsWithinRadiusScalar(const double* xs, const double* ys,
                                    const int64_t* ids, size_t n, double cx,
                                    double cy, double r2,

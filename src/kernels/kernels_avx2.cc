@@ -31,20 +31,6 @@ void DistanceBatchAvx2(const double* xs, const double* ys, size_t n,
   DistanceBatchScalar(xs + i, ys + i, n - i, qx, qy, out + i);
 }
 
-void DistanceSquaredBatchAvx2(const double* xs, const double* ys, size_t n,
-                              double qx, double qy, double* out) {
-  const __m256d qxv = _mm256_set1_pd(qx);
-  const __m256d qyv = _mm256_set1_pd(qy);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d dx = _mm256_sub_pd(_mm256_loadu_pd(xs + i), qxv);
-    const __m256d dy = _mm256_sub_pd(_mm256_loadu_pd(ys + i), qyv);
-    _mm256_storeu_pd(
-        out + i, _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy)));
-  }
-  DistanceSquaredBatchScalar(xs + i, ys + i, n - i, qx, qy, out + i);
-}
-
 size_t AppendIdsWithinRadiusAvx2(const double* xs, const double* ys,
                                  const int64_t* ids, size_t n, double cx,
                                  double cy, double r2,
@@ -155,9 +141,9 @@ bool IsSortedUniqueI64Avx2(const int64_t* v, size_t n) {
 }  // namespace
 
 const KernelOps kAvx2Ops = {
-    DistanceBatchAvx2,         DistanceSquaredBatchAvx2,
-    AppendIdsWithinRadiusAvx2, SelectInWindowAvx2,
-    KSmallestAvx2,             IsSortedUniqueI64Avx2,
+    DistanceBatchAvx2,  AppendIdsWithinRadiusAvx2,
+    SelectInWindowAvx2, KSmallestAvx2,
+    IsSortedUniqueI64Avx2,
 };
 
 }  // namespace lbsq::kernels::internal
@@ -169,9 +155,9 @@ namespace lbsq::kernels::internal {
 // AVX2 not compiled in (non-x86, or a compiler without -mavx2): the tier
 // aliases the scalar reference.
 const KernelOps kAvx2Ops = {
-    DistanceBatchScalar,         DistanceSquaredBatchScalar,
-    AppendIdsWithinRadiusScalar, SelectInWindowScalar,
-    KSmallestScalar,             IsSortedUniqueI64Scalar,
+    DistanceBatchScalar,  AppendIdsWithinRadiusScalar,
+    SelectInWindowScalar, KSmallestScalar,
+    IsSortedUniqueI64Scalar,
 };
 
 }  // namespace lbsq::kernels::internal

@@ -18,15 +18,6 @@ void DistanceBatchScalar(const double* xs, const double* ys, size_t n,
   }
 }
 
-void DistanceSquaredBatchScalar(const double* xs, const double* ys, size_t n,
-                                double qx, double qy, double* out) {
-  for (size_t i = 0; i < n; ++i) {
-    const double dx = xs[i] - qx;
-    const double dy = ys[i] - qy;
-    out[i] = dx * dx + dy * dy;
-  }
-}
-
 size_t AppendIdsWithinRadiusScalar(const double* xs, const double* ys,
                                    const int64_t* ids, size_t n, double cx,
                                    double cy, double r2,
@@ -102,9 +93,9 @@ bool IsSortedUniqueI64Scalar(const int64_t* v, size_t n) {
 }
 
 const KernelOps kScalarOps = {
-    DistanceBatchScalar,         DistanceSquaredBatchScalar,
-    AppendIdsWithinRadiusScalar, SelectInWindowScalar,
-    KSmallestScalar,             IsSortedUniqueI64Scalar,
+    DistanceBatchScalar,  AppendIdsWithinRadiusScalar,
+    SelectInWindowScalar, KSmallestScalar,
+    IsSortedUniqueI64Scalar,
 };
 
 }  // namespace lbsq::kernels::internal

@@ -33,20 +33,6 @@ void DistanceBatchSse2(const double* xs, const double* ys, size_t n,
   DistanceBatchScalar(xs + i, ys + i, n - i, qx, qy, out + i);
 }
 
-void DistanceSquaredBatchSse2(const double* xs, const double* ys, size_t n,
-                              double qx, double qy, double* out) {
-  const __m128d qxv = _mm_set1_pd(qx);
-  const __m128d qyv = _mm_set1_pd(qy);
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128d dx = _mm_sub_pd(_mm_loadu_pd(xs + i), qxv);
-    const __m128d dy = _mm_sub_pd(_mm_loadu_pd(ys + i), qyv);
-    _mm_storeu_pd(out + i,
-                  _mm_add_pd(_mm_mul_pd(dx, dx), _mm_mul_pd(dy, dy)));
-  }
-  DistanceSquaredBatchScalar(xs + i, ys + i, n - i, qx, qy, out + i);
-}
-
 size_t AppendIdsWithinRadiusSse2(const double* xs, const double* ys,
                                  const int64_t* ids, size_t n, double cx,
                                  double cy, double r2,
@@ -141,9 +127,9 @@ size_t KSmallestSse2(const double* dist, const int64_t* ids, size_t n,
 }  // namespace
 
 const KernelOps kSse2Ops = {
-    DistanceBatchSse2,         DistanceSquaredBatchSse2,
-    AppendIdsWithinRadiusSse2, SelectInWindowSse2,
-    KSmallestSse2,             IsSortedUniqueI64Scalar,
+    DistanceBatchSse2,  AppendIdsWithinRadiusSse2,
+    SelectInWindowSse2, KSmallestSse2,
+    IsSortedUniqueI64Scalar,
 };
 
 }  // namespace lbsq::kernels::internal
@@ -155,9 +141,9 @@ namespace lbsq::kernels::internal {
 // SSE2 not compiled in (non-x86 build): the tier aliases the scalar
 // reference.
 const KernelOps kSse2Ops = {
-    DistanceBatchScalar,         DistanceSquaredBatchScalar,
-    AppendIdsWithinRadiusScalar, SelectInWindowScalar,
-    KSmallestScalar,             IsSortedUniqueI64Scalar,
+    DistanceBatchScalar,  AppendIdsWithinRadiusScalar,
+    SelectInWindowScalar, KSmallestScalar,
+    IsSortedUniqueI64Scalar,
 };
 
 }  // namespace lbsq::kernels::internal

@@ -26,12 +26,17 @@ bool SetNonBlocking(int fd) {
 
 }  // namespace
 
+const char* ServerOptions::FirstViolation() const {
+  LBSQ_RULE(num_workers >= 1);
+  LBSQ_RULE(worker_queue_capacity >= 1);
+  LBSQ_RULE(session_inflight_limit >= 1);
+  return nullptr;
+}
+
 Server::Server(const core::ShardedQueryEngine& engine, uint64_t epoch,
                const ServerOptions& options)
     : engine_(engine), options_(options) {
-  LBSQ_CHECK(options_.num_workers >= 1);
-  LBSQ_CHECK(options_.worker_queue_capacity >= 1);
-  LBSQ_CHECK(options_.session_inflight_limit >= 1);
+  LBSQ_CHECK_RULES(options_.FirstViolation());
   session_context_.engine = &engine_;
   session_context_.epoch = epoch;
   session_context_.counters = &counters_;

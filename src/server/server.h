@@ -64,6 +64,11 @@ struct ServerOptions {
   size_t session_inflight_limit = 64;
   /// Suggested client delay carried in RETRY_AFTER frames.
   uint32_t retry_after_ms = 10;
+
+  /// The first rule these options break (at least one worker, queue slot
+  /// and in-flight query), or null when they are valid. The Server
+  /// constructor aborts on it; lbsq_server reports it as a flag error.
+  const char* FirstViolation() const;
 };
 
 class Server {

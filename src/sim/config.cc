@@ -50,43 +50,45 @@ ParameterSet RiversideCounty() {
   return p;
 }
 
-void UpdateWorkloadConfig::Validate() const {
-  LBSQ_CHECK(interval_events >= 0);
-  LBSQ_CHECK(inserts_per_batch >= 0);
-  LBSQ_CHECK(deletes_per_batch >= 0);
-  LBSQ_CHECK(moves_per_batch >= 0);
-  LBSQ_CHECK(move_radius_mi >= 0.0);
-  if (enabled()) {
-    LBSQ_CHECK(inserts_per_batch + deletes_per_batch + moves_per_batch > 0);
-  }
+const char* UpdateWorkloadConfig::FirstViolation() const {
+  LBSQ_RULE(interval_events >= 0);
+  LBSQ_RULE(inserts_per_batch >= 0);
+  LBSQ_RULE(deletes_per_batch >= 0);
+  LBSQ_RULE(moves_per_batch >= 0);
+  LBSQ_RULE(move_radius_mi >= 0.0);
+  LBSQ_RULE(!enabled() ||
+            inserts_per_batch + deletes_per_batch + moves_per_batch > 0);
+  return nullptr;
 }
 
-void SimConfig::Validate() const {
-  LBSQ_CHECK(world_side_mi > 0.0);
-  LBSQ_CHECK(warmup_min >= 0.0);
-  LBSQ_CHECK(duration_min > 0.0);
-  LBSQ_CHECK(speed_min_mph > 0.0 && speed_max_mph >= speed_min_mph);
-  LBSQ_CHECK(street_block_mi > 0.0);
-  LBSQ_CHECK(p2p_hops >= 1);
-  LBSQ_CHECK(mixed_window_fraction >= 0.0 && mixed_window_fraction <= 1.0);
-  LBSQ_CHECK(prefetch_radius_factor >= 1.0);
-  LBSQ_CHECK(max_regions_per_host >= 1);
-  LBSQ_CHECK(slots_per_second > 0.0);
-  LBSQ_CHECK(min_correctness >= 0.0 && min_correctness <= 1.0);
-  LBSQ_CHECK(threads >= 1);
-  LBSQ_CHECK(events_per_epoch >= 1);
-  LBSQ_CHECK(params.csize >= 1);
-  LBSQ_CHECK(params.tx_range_m > 0.0);
-  LBSQ_CHECK(params.knn_k >= 1.0);
-  LBSQ_CHECK(shards >= 1);
+const char* SimConfig::FirstViolation() const {
+  LBSQ_RULE(world_side_mi > 0.0);
+  LBSQ_RULE(warmup_min >= 0.0);
+  LBSQ_RULE(duration_min > 0.0);
+  LBSQ_RULE(speed_min_mph > 0.0 && speed_max_mph >= speed_min_mph);
+  LBSQ_RULE(street_block_mi > 0.0);
+  LBSQ_RULE(p2p_hops >= 1);
+  LBSQ_RULE(mixed_window_fraction >= 0.0 && mixed_window_fraction <= 1.0);
+  LBSQ_RULE(prefetch_radius_factor >= 1.0);
+  LBSQ_RULE(max_regions_per_host >= 1);
+  LBSQ_RULE(slots_per_second > 0.0);
+  LBSQ_RULE(min_correctness >= 0.0 && min_correctness <= 1.0);
+  LBSQ_RULE(threads >= 1);
+  LBSQ_RULE(events_per_epoch >= 1);
+  LBSQ_RULE(params.csize >= 1);
+  LBSQ_RULE(params.tx_range_m > 0.0);
+  LBSQ_RULE(params.knn_k >= 1.0);
+  LBSQ_RULE(shards >= 1);
   // Fault injection models one lossy channel; a multi-channel fault model
   // would be a different system. Sharded cache-invariant checking under
   // churn would additionally need history-retained sharded epochs.
-  LBSQ_CHECK(shards == 1 || !fault.enabled());
-  LBSQ_CHECK(shards == 1 || !(updates.enabled() && check_cache_invariant));
-  fault.Validate();
-  updates.Validate();
+  LBSQ_RULE(shards == 1 || !fault.enabled());
+  LBSQ_RULE(shards == 1 || !(updates.enabled() && check_cache_invariant));
+  if (const char* violation = fault.FirstViolation()) return violation;
+  return updates.FirstViolation();
 }
+
+void SimConfig::Validate() const { LBSQ_CHECK_RULES(FirstViolation()); }
 
 double SimConfig::Scale() const {
   return (world_side_mi * world_side_mi) / kPaperAreaSqMi;

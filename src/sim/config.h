@@ -96,8 +96,9 @@ struct UpdateWorkloadConfig {
   bool force_full_rebuild = false;
 
   bool enabled() const { return interval_events > 0; }
-  /// Aborts unless counts are sane; called from SimConfig::Validate.
-  void Validate() const;
+  /// The first count rule this workload breaks, or null when it is sane;
+  /// part of SimConfig::FirstViolation.
+  const char* FirstViolation() const;
 };
 
 /// A full simulation configuration.
@@ -217,12 +218,15 @@ struct SimConfig {
 
   uint64_t seed = 1;
 
-  /// Aborts (LBSQ_CHECK) unless the configuration is internally consistent:
-  /// positive world/duration, warmup >= 0, threads/epoch/hops >= 1,
-  /// min_correctness and mixed_window_fraction in [0, 1],
-  /// prefetch_radius_factor >= 1, positive slot rate and cache capacities.
-  /// Called by both simulation engines at construction — the one choke point
-  /// replacing the ad-hoc checks that used to be scattered across them.
+  /// The first rule this configuration breaks, or null when it is
+  /// internally consistent: positive world/duration, warmup >= 0,
+  /// threads/epoch/hops >= 1, min_correctness and mixed_window_fraction in
+  /// [0, 1], prefetch_radius_factor >= 1, positive slot rate and cache
+  /// capacities, valid faults and updates, and no fault injection (or
+  /// checked churn) at shards > 1. lbsq_sim reports it as a flag error;
+  /// Validate() aborts (LBSQ_CHECK) on it and is called by both simulation
+  /// engines at construction — the one choke point for these rules.
+  const char* FirstViolation() const;
   void Validate() const;
 
   /// Area scale factor relative to the paper's 400 sq mi.

@@ -80,29 +80,14 @@ void ParallelSimulator::CheckCacheInvariant(int64_t host) const {
     // Completeness is epoch-relative: validate against the POI database of
     // the epoch the entry was verified on (== the current epoch when
     // updates are off; the sharded static world only ever has epoch 0).
-    std::shared_ptr<const dynamic::WorldEpoch> epoch;
-    const std::vector<spatial::Poi>* db = nullptr;
     if (config_.shards > 1) {
-      db = &sharded_current_->pois;
-    } else {
-      epoch =
-          config_.updates.enabled() ? versioner_->EpochAt(vr.epoch) : current_;
-      LBSQ_CHECK(epoch != nullptr);
-      db = &epoch->pois;
+      CheckCacheCompleteness(vr, sharded_current_->pois);
+      continue;
     }
-    const std::vector<spatial::Poi> truth =
-        spatial::BruteForceWindow(*db, vr.region);
-    // Every server POI inside the region must be cached.
-    for (const spatial::Poi& poi : truth) {
-      const bool present =
-          std::any_of(vr.pois.begin(), vr.pois.end(),
-                      [&poi](const spatial::Poi& p) { return p.id == poi.id; });
-      LBSQ_CHECK(present);
-    }
-    // And nothing outside the region may be stored in this entry.
-    for (const spatial::Poi& poi : vr.pois) {
-      LBSQ_CHECK(vr.region.Contains(poi.pos));
-    }
+    const std::shared_ptr<const dynamic::WorldEpoch> epoch =
+        config_.updates.enabled() ? versioner_->EpochAt(vr.epoch) : current_;
+    LBSQ_CHECK(epoch != nullptr);
+    CheckCacheCompleteness(vr, epoch->pois);
   }
 }
 

@@ -141,10 +141,10 @@ class ParallelSimulator {
                            int64_t query_id);
 
   /// Validates the cache completeness invariant of `host` against the full
-  /// POI set (check_cache_invariant mode). Brute force instead of the
-  /// R-tree: the tree's node-access counter is mutable state that worker
-  /// threads must not share. Under churn each entry is checked against the
-  /// snapshot of its own epoch.
+  /// POI set (check_cache_invariant mode) through CheckCacheCompleteness,
+  /// which reads only immutable epoch data, so worker threads may run it.
+  /// Under churn each entry is checked against the snapshot of its own
+  /// epoch.
   void CheckCacheInvariant(int64_t host) const;
 
   /// Applies the deterministic update batch due before event `event_index`

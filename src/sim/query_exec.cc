@@ -1,5 +1,6 @@
 #include "sim/query_exec.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <utility>
@@ -416,6 +417,22 @@ void AccumulateWindow(const WindowQueryResult& result, SimMetrics* metrics,
             : static_cast<double>(outcome.stats.access_latency));
     AccumulateCommonRegistry(outcome, result.baseline_latency,
                              result.regions_rejected, registry);
+  }
+}
+
+void CheckCacheCompleteness(const core::VerifiedRegion& entry,
+                            const std::vector<spatial::Poi>& epoch_pois) {
+  // Every server POI inside the region must be cached.
+  for (const spatial::Poi& poi :
+       spatial::BruteForceWindow(epoch_pois, entry.region)) {
+    const bool present =
+        std::any_of(entry.pois.begin(), entry.pois.end(),
+                    [&poi](const spatial::Poi& p) { return p.id == poi.id; });
+    LBSQ_CHECK(present);
+  }
+  // And nothing outside the region may be stored in this entry.
+  for (const spatial::Poi& poi : entry.pois) {
+    LBSQ_CHECK(entry.region.Contains(poi.pos));
   }
 }
 

@@ -10,6 +10,7 @@
 #include "core/query_engine.h"
 #include "core/query_workspace.h"
 #include "core/sharded_query_engine.h"
+#include "core/verified_region.h"
 #include "sim/config.h"
 #include "sim/metrics.h"
 #include "spatial/grid_index.h"
@@ -123,6 +124,14 @@ void AccumulateKnn(const KnnQueryResult& result, SimMetrics* metrics,
 /// window-specific histogram is `residual_fraction`).
 void AccumulateWindow(const WindowQueryResult& result, SimMetrics* metrics,
                       MetricsRegistry* registry = nullptr);
+
+/// The cache-completeness invariant of one cache entry (check_cache_invariant
+/// mode), checked by brute force against `epoch_pois`, the POI database of
+/// the epoch the entry was verified on: every POI inside the entry's region
+/// must be cached, and every cached POI must lie inside the region. Aborts
+/// via LBSQ_CHECK on a violation.
+void CheckCacheCompleteness(const core::VerifiedRegion& entry,
+                            const std::vector<spatial::Poi>& epoch_pois);
 
 /// Breadth-first flood over the radio connectivity graph from `querier` up
 /// to `hops` (1 = the paper's single-hop sharing), collecting the non-empty

@@ -16,7 +16,6 @@ namespace lbsq::sim {
 Simulator::Simulator(const SimConfig& config)
     : config_(config),
       world_{0.0, 0.0, config.world_side_mi, config.world_side_mi},
-      server_index_(8),
       peer_index_(world_,
                   std::max(config.params.tx_range_m * kMilesPerMeter,
                            config.world_side_mi / 256.0)),
@@ -26,7 +25,6 @@ Simulator::Simulator(const SimConfig& config)
   Rng poi_rng(DeriveStreamSeed(config.seed, kStreamPois));
   std::vector<spatial::Poi> pois = spatial::GenerateUniformPois(
       &poi_rng, world_, config.ScaledPoiCount());
-  server_index_.InsertAll(pois);
   base_insert_id_ = FirstInsertId(pois);
   dynamic::RebuildPolicy rebuild_policy;
   rebuild_policy.force_full = config.updates.force_full_rebuild;
@@ -68,30 +66,17 @@ void Simulator::SetObserver(obs::TraceSink* trace_sink,
 void Simulator::CheckCacheInvariant(int64_t host) const {
   for (const core::VerifiedRegion& vr :
        caches_[static_cast<size_t>(host)].entries()) {
-    std::vector<spatial::Poi> truth;
-    if (config_.updates.enabled()) {
-      // Completeness is an epoch-relative guarantee: validate each entry
-      // against the POI database of the epoch it was verified on.
-      const std::shared_ptr<const dynamic::WorldEpoch> epoch =
-          versioner_->EpochAt(vr.epoch);
-      LBSQ_CHECK(epoch != nullptr);
-      for (const spatial::Poi& poi : epoch->pois) {
-        if (vr.region.Contains(poi.pos)) truth.push_back(poi);
-      }
-    } else {
-      truth = server_index_.WindowQuery(vr.region);
+    // Completeness is epoch-relative: validate against the POI database of
+    // the epoch the entry was verified on (== the current epoch when
+    // updates are off; the sharded static world only ever has epoch 0).
+    if (config_.shards > 1) {
+      CheckCacheCompleteness(vr, sharded_current_->pois);
+      continue;
     }
-    // Every server POI inside the region must be cached.
-    for (const spatial::Poi& poi : truth) {
-      const bool present =
-          std::any_of(vr.pois.begin(), vr.pois.end(),
-                      [&poi](const spatial::Poi& p) { return p.id == poi.id; });
-      LBSQ_CHECK(present);
-    }
-    // And nothing outside the region may be stored in this entry.
-    for (const spatial::Poi& poi : vr.pois) {
-      LBSQ_CHECK(vr.region.Contains(poi.pos));
-    }
+    const std::shared_ptr<const dynamic::WorldEpoch> epoch =
+        config_.updates.enabled() ? versioner_->EpochAt(vr.epoch) : current_;
+    LBSQ_CHECK(epoch != nullptr);
+    CheckCacheCompleteness(vr, epoch->pois);
   }
 }
 

@@ -19,7 +19,6 @@
 #include "sim/mobility.h"
 #include "sim/trace.h"
 #include "spatial/grid_index.h"
-#include "spatial/rtree.h"
 
 /// \file
 /// The end-to-end simulation of the paper's §4.1 system model: a base
@@ -120,7 +119,6 @@ class Simulator {
   core::ShardedQueryWorkspace sharded_workspace_;
   /// First id handed to inserted POIs (fixed at construction).
   int64_t base_insert_id_ = 0;
-  spatial::RTree server_index_;
   std::unique_ptr<MobilityModel> mobility_;
   std::vector<core::PeerCache> caches_;
   spatial::GridIndex peer_index_;

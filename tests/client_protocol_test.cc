@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "broadcast/schedule.h"
 
 namespace lbsq::broadcast {
@@ -86,59 +84,6 @@ TEST(ClientProtocolTest, MoreIndexReplicasReduceProbeWait) {
   EXPECT_GT(average_index_wait(4), average_index_wait(12));
 }
 
-TEST(LossyChannelTest, ZeroLossMatchesReliable) {
-  BroadcastSchedule s(40, 3, 4);
-  Rng rng(1);
-  for (int64_t t = 0; t < s.cycle_length(); t += 7) {
-    const AccessStats reliable = RetrieveBuckets(s, t, {2, 15, 33});
-    const AccessStats lossy = RetrieveBucketsLossy(s, t, {2, 15, 33}, 0.0, &rng);
-    EXPECT_EQ(reliable.access_latency, lossy.access_latency);
-    EXPECT_EQ(reliable.tuning_time, lossy.tuning_time);
-    EXPECT_EQ(reliable.buckets_read, lossy.buckets_read);
-  }
-}
-
-TEST(LossyChannelTest, LossNeverSpeedsUp) {
-  BroadcastSchedule s(60, 2, 3);
-  Rng rng(2);
-  for (int trial = 0; trial < 200; ++trial) {
-    const int64_t t = static_cast<int64_t>(
-        rng.NextBelow(static_cast<uint64_t>(s.cycle_length())));
-    const AccessStats reliable = RetrieveBuckets(s, t, {5, 30});
-    const AccessStats lossy =
-        RetrieveBucketsLossy(s, t, {5, 30}, 0.4, &rng);
-    EXPECT_GE(lossy.access_latency, reliable.access_latency);
-    EXPECT_GE(lossy.tuning_time, reliable.tuning_time);
-  }
-}
-
-TEST(LossyChannelTest, RetryCountMatchesGeometricMean) {
-  // Average data-bucket tuning attempts should approach 1 / (1 - p).
-  BroadcastSchedule s(50, 1, 1);
-  Rng rng(3);
-  const double p = 0.3;
-  double attempts = 0.0;
-  const int trials = 4000;
-  for (int i = 0; i < trials; ++i) {
-    const AccessStats stats = RetrieveBucketsLossy(s, 0, {25}, p, &rng);
-    // tuning = probe(1) + index attempts + data attempts; index attempts are
-    // geometric too, subtract their expectation.
-    attempts += static_cast<double>(stats.tuning_time);
-  }
-  const double mean_tuning = attempts / trials;
-  const double expected = 1.0 + 1.0 / (1.0 - p) + 1.0 / (1.0 - p);
-  EXPECT_NEAR(mean_tuning, expected, 0.1);
-}
-
-TEST(LossyChannelTest, HighLossStillTerminates) {
-  BroadcastSchedule s(30, 2, 2);
-  Rng rng(4);
-  const AccessStats stats =
-      RetrieveBucketsLossy(s, 11, {0, 10, 20, 29}, 0.9, &rng);
-  EXPECT_EQ(stats.buckets_read, 4);
-  EXPECT_GT(stats.access_latency, 0);
-}
-
 TEST(ClientProtocolTest, AccumulateAddsFields) {
   AccessStats a{10, 5, 2};
   const AccessStats b{7, 3, 1};
@@ -153,64 +98,6 @@ TEST(ClientProtocolTest, IndexReadModeBucketsToRead) {
   EXPECT_EQ(IndexReadMode::FlatDirectory().BucketsToRead(s),
             s.index_buckets());
   EXPECT_EQ(IndexReadMode::TreePaths(3).BucketsToRead(s), 3);
-}
-
-TEST(LossyChannelTest, RetryStatisticsMatchLossProbAcrossSeeds) {
-  // Over many independent seeds, the extra tuning attempts (retries) per
-  // reception should match the geometric-retry expectation p / (1 - p).
-  // Every reception is Bernoulli(p): one index segment + two data buckets
-  // per retrieval, so expected retries per retrieval = 3 p / (1 - p).
-  BroadcastSchedule s(50, 1, 1);
-  for (double p : {0.1, 0.25, 0.5}) {
-    const AccessStats reliable = RetrieveBuckets(s, 0, {10, 40});
-    double total_retries = 0.0;
-    const double seeds = 3000.0;
-    for (uint64_t seed = 1; seed <= 3000; ++seed) {
-      Rng rng(seed);
-      const AccessStats lossy = RetrieveBucketsLossy(s, 0, {10, 40}, p, &rng);
-      total_retries +=
-          static_cast<double>(lossy.tuning_time - reliable.tuning_time);
-    }
-    const double mean_retries = total_retries / seeds;
-    const double expected = 3.0 * p / (1.0 - p);
-    // Var of one geometric retry count is p/(1-p)^2; 3 per trial, so the
-    // standard error over `seeds` trials allows a generous 5-sigma band.
-    const double sigma =
-        std::sqrt(3.0 * p / ((1.0 - p) * (1.0 - p)) / seeds);
-    EXPECT_NEAR(mean_retries, expected, 5.0 * sigma) << "p=" << p;
-  }
-}
-
-TEST(LossyChannelTest, ZeroLossTraceMatchesReliableSpans) {
-  // With loss_prob = 0 the lossy path must walk the identical schedule: same
-  // stats and the same protocol spans, with both retry counters at zero.
-  BroadcastSchedule s(40, 3, 4);
-  for (int64_t t : {0L, 9L, 57L}) {
-    obs::TraceRecorder reliable_trace;
-    obs::TraceRecorder lossy_trace;
-    Rng rng(11);
-    const AccessStats reliable =
-        RetrieveBuckets(s, t, {2, 15, 33}, IndexReadMode{}, &reliable_trace);
-    const AccessStats lossy =
-        RetrieveBucketsLossy(s, t, {2, 15, 33}, 0.0, &rng, &lossy_trace);
-    EXPECT_EQ(reliable.access_latency, lossy.access_latency);
-    EXPECT_EQ(reliable.tuning_time, lossy.tuning_time);
-    EXPECT_EQ(reliable.buckets_read, lossy.buckets_read);
-    // The lossy trace adds the two retry counters; its spans must be
-    // identical to the reliable ones.
-    std::vector<obs::TraceEvent> lossy_spans;
-    for (const obs::TraceEvent& e : lossy_trace.events()) {
-      if (e.kind == obs::TraceEvent::Kind::kSpan) {
-        lossy_spans.push_back(e);
-      } else {
-        EXPECT_EQ(e.value, 0.0) << e.name;
-      }
-    }
-    ASSERT_EQ(lossy_spans.size(), reliable_trace.events().size());
-    for (size_t i = 0; i < lossy_spans.size(); ++i) {
-      EXPECT_EQ(lossy_spans[i], reliable_trace.events()[i]);
-    }
-  }
 }
 
 }  // namespace

@@ -106,5 +106,31 @@ TEST(ConfigTest, ValidateRejectsBadKnobs) {
   EXPECT_DEATH(negative_duration.Validate(), "LBSQ_CHECK");
 }
 
+TEST(ConfigTest, FirstViolationNamesTheRuleValidateAbortsOn) {
+  EXPECT_EQ(SimConfig{}.FirstViolation(), nullptr);
+
+  SimConfig no_hops;
+  no_hops.p2p_hops = 0;
+  EXPECT_STREQ(no_hops.FirstViolation(), "p2p_hops >= 1");
+  EXPECT_DEATH(no_hops.Validate(), "LBSQ_CHECK failed: p2p_hops >= 1");
+
+  // Nested validators report their own rule.
+  SimConfig bad_loss;
+  bad_loss.fault.channel.loss_prob = 1.5;
+  EXPECT_STREQ(bad_loss.FirstViolation(),
+               "loss_prob >= 0.0 && loss_prob < 1.0");
+  SimConfig bad_interval;
+  bad_interval.updates.interval_events = -3;
+  EXPECT_STREQ(bad_interval.FirstViolation(), "interval_events >= 0");
+
+  // Combinations a sharded deployment does not support.
+  SimConfig sharded_faults;
+  sharded_faults.shards = 4;
+  sharded_faults.fault.channel.model = fault::LossModel::kIid;
+  sharded_faults.fault.channel.loss_prob = 0.1;
+  EXPECT_STREQ(sharded_faults.FirstViolation(),
+               "shards == 1 || !fault.enabled()");
+}
+
 }  // namespace
 }  // namespace lbsq::sim

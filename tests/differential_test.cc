@@ -15,16 +15,13 @@
 #include "onair/onair_knn.h"
 #include "onair/onair_window.h"
 #include "spatial/generators.h"
-#include "spatial/quadtree.h"
-#include "spatial/rstar_tree.h"
-#include "spatial/rtree.h"
 
 /// Differential testing: every implementation of the same query answers the
 /// same random instances identically. One shared world per seed; window
-/// queries are answered by the Guttman R-tree (dynamic and bulk-loaded), the
-/// R*-tree, the PR quadtree, the on-air client (both retrieval modes), SBWQ
-/// with random peers, and brute force; kNN by both R-tree strategies, the
-/// R*-tree, the quadtree, the on-air client, SBNN, and brute force.
+/// queries are answered by the on-air client (both retrieval modes), SBWQ
+/// with random peers, and brute force; kNN by the on-air client, SBNN, and
+/// brute force. The dynamic engine with zero updates must match the static
+/// engine bit for bit.
 
 namespace lbsq {
 namespace {
@@ -34,10 +31,6 @@ using spatial::Poi;
 struct World {
   std::vector<Poi> pois;
   std::unique_ptr<broadcast::BroadcastSystem> system;
-  spatial::RTree rtree;
-  spatial::RTree packed;
-  spatial::RStarTree rstar;
-  std::unique_ptr<spatial::QuadTree> quad;
   double density;
 
   explicit World(uint64_t seed) {
@@ -55,11 +48,6 @@ struct World {
     if (rng.NextBool(0.5)) params.index_kind = broadcast::IndexKind::kTree;
     system = std::make_unique<broadcast::BroadcastSystem>(pois, bounds,
                                                           params);
-    rtree.InsertAll(pois);
-    packed = spatial::RTree::BulkLoadStr(pois);
-    rstar.InsertAll(pois);
-    quad = std::make_unique<spatial::QuadTree>(bounds, 8);
-    quad->InsertAll(pois);
   }
 
   core::PeerData RandomPeer(Rng* rng) const {
@@ -84,10 +72,6 @@ TEST_P(DifferentialTest, AllWindowImplementationsAgree) {
     const geom::Rect window{a.x, a.y, a.x + rng.Uniform(0.5, 4.0),
                             a.y + rng.Uniform(0.5, 4.0)};
     const auto truth = spatial::BruteForceWindow(world.pois, window);
-    EXPECT_EQ(world.rtree.WindowQuery(window), truth);
-    EXPECT_EQ(world.packed.WindowQuery(window), truth);
-    EXPECT_EQ(world.rstar.WindowQuery(window), truth);
-    EXPECT_EQ(world.quad->WindowQuery(window), truth);
     EXPECT_EQ(
         onair::OnAirWindow(*world.system, window, trial * 3).pois, truth);
     EXPECT_EQ(onair::OnAirWindow(*world.system, window, trial * 3,
@@ -116,11 +100,6 @@ TEST_P(DifferentialTest, AllKnnImplementationsAgree) {
         EXPECT_EQ(got[i].poi.id, truth[i].poi.id) << what << " i=" << i;
       }
     };
-    expect_ids(world.rtree.KnnBestFirst(q, k), "rtree best-first");
-    expect_ids(world.rtree.KnnDepthFirst(q, k), "rtree depth-first");
-    expect_ids(world.packed.KnnBestFirst(q, k), "packed rtree");
-    expect_ids(world.rstar.Knn(q, k), "rstar");
-    expect_ids(world.quad->Knn(q, k), "quadtree");
     expect_ids(onair::OnAirKnn(*world.system, q, k, trial * 5).neighbors,
                "on-air");
     std::vector<core::PeerData> peers;

@@ -195,29 +195,6 @@ TEST(FailureInjectionTest, DishonestPeerBreaksVerification) {
   EXPECT_EQ(result.heap.entries()[0].poi.id, 1);    // ...and is wrong
 }
 
-TEST(FailureInjectionTest, LossyChannelPreservesExactness) {
-  // Packet loss delays queries but never corrupts results: retries fetch
-  // the same buckets.
-  Rng rng(9);
-  auto system = MakeSystem(spatial::GenerateUniformPois(&rng, kWorld, 150));
-  const auto needed = onair::BucketsForWindow(
-      *system, geom::Rect{5.0, 5.0, 12.0, 12.0},
-      onair::WindowRetrieval::kSingleSpan);
-  Rng loss_rng(10);
-  const auto stats = broadcast::RetrieveBucketsLossy(
-      system->schedule(), 3, needed, 0.5, &loss_rng);
-  EXPECT_EQ(stats.buckets_read, static_cast<int64_t>(needed.size()));
-  // The payload a client assembles is identical regardless of retries.
-  const auto pois = system->CollectPois(needed);
-  const auto truth = spatial::BruteForceWindow(
-      system->pois(), geom::Rect{5.0, 5.0, 12.0, 12.0});
-  for (const auto& t : truth) {
-    EXPECT_TRUE(std::any_of(pois.begin(), pois.end(), [&t](const Poi& p) {
-      return p.id == t.id;
-    }));
-  }
-}
-
 TEST(FailureInjectionTest, DegenerateZeroAreaWindow) {
   Rng rng(8);
   auto system = MakeSystem(spatial::GenerateUniformPois(&rng, kWorld, 60));

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "broadcast/client_protocol.h"
@@ -89,6 +90,49 @@ TEST(ChannelSessionTest, LossesOnlyDelayWithUnlimitedBudget) {
     // plus one whole index segment per failed segment read; at minimum each
     // loss cost one extra listening slot somewhere.
     EXPECT_GE(r.stats.tuning_time - reliable.tuning_time, 0);
+  }
+}
+
+TEST(ChannelSessionTest, IidLossRateMatchesLossProbAcrossSeeds) {
+  // Under iid loss with an unlimited retry budget every reception is an
+  // independent Bernoulli(p) draw, so across many seeds the observed loss
+  // rate matches loss_prob. With a one-bucket index, each retrieval needs
+  // three good receptions (index + two data buckets), each retried until
+  // received: the retries per retrieval follow 3 p / (1 - p).
+  BroadcastSchedule s(50, 1, 1);
+  FaultPolicy policy;
+  policy.max_retries_per_bucket = 1000;
+  const AccessStats reliable = RetrieveBuckets(s, 0, {10, 40});
+  const int seeds = 3000;
+  for (double p : {0.1, 0.25, 0.5}) {
+    int64_t losses = 0;
+    int64_t receptions = 0;
+    int64_t retries = 0;
+    for (uint64_t seed = 1; seed <= seeds; ++seed) {
+      ChannelSession session(IidLoss(p), policy, seed);
+      const FaultyRetrievalResult r =
+          session.Retrieve(s, 0, {10, 40}, IndexReadMode::FlatDirectory());
+      ASSERT_TRUE(r.complete()) << "p=" << p << " seed " << seed;
+      ASSERT_EQ(r.corruptions, 0);
+      losses += r.losses;
+      // Every listened slot but the probe samples one reception.
+      receptions += r.stats.tuning_time - 1;
+      retries += r.stats.tuning_time - reliable.tuning_time;
+    }
+    // Without corruption, every retry repeats a lost reception.
+    EXPECT_EQ(retries, losses) << "p=" << p;
+    // 5-sigma bands: binomial standard error for the rate; the variance of
+    // one geometric retry count is p / (1 - p)^2, three per retrieval.
+    const double rate =
+        static_cast<double>(losses) / static_cast<double>(receptions);
+    EXPECT_NEAR(rate, p,
+                5.0 * std::sqrt(p * (1.0 - p) /
+                                static_cast<double>(receptions)))
+        << "p=" << p;
+    const double mean_retries = static_cast<double>(retries) / seeds;
+    EXPECT_NEAR(mean_retries, 3.0 * p / (1.0 - p),
+                5.0 * std::sqrt(3.0 * p / ((1.0 - p) * (1.0 - p)) / seeds))
+        << "p=" << p;
   }
 }
 

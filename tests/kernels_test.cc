@@ -95,27 +95,6 @@ TEST(KernelsDifferentialTest, DistanceBatchBitIdenticalAcrossTiers) {
   }
 }
 
-TEST(KernelsDifferentialTest, DistanceSquaredBatchBitIdenticalAcrossTiers) {
-  Rng rng(12);
-  for (size_t n : kSizes) {
-    const Slab s = RandomSlab(&rng, n, false);
-    const double qx = rng.Uniform(-10.0, 10.0);
-    const double qy = rng.Uniform(-10.0, 10.0);
-    std::vector<double> ref(n), got(n);
-    internal::DistanceSquaredBatchScalar(s.xs.data(), s.ys.data(), n, qx, qy,
-                                         ref.data());
-    for (SimdTier tier : RunnableTiers()) {
-      std::fill(got.begin(), got.end(), -1.0);
-      OpsForTier(tier).distance_squared_batch(s.xs.data(), s.ys.data(), n, qx,
-                                              qy, got.data());
-      for (size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(Bits(ref[i]), Bits(got[i]))
-            << "tier=" << TierName(tier) << " n=" << n << " i=" << i;
-      }
-    }
-  }
-}
-
 TEST(KernelsDifferentialTest, AppendIdsWithinRadiusMatchesScalar) {
   Rng rng(13);
   for (size_t n : kSizes) {

@@ -138,6 +138,11 @@ int main(int argc, char** argv) {
     }
   }
   spec.Validate();
+  if (const char* rule = options.FirstViolation()) {
+    std::fprintf(stderr,
+                 "invalid server options: rule '%s' does not hold\n", rule);
+    return 1;
+  }
 
   sim::SimConfig config;
   spec.ApplyTo(&config);

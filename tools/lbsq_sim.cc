@@ -340,6 +340,11 @@ int main(int argc, char** argv) {
     config.fault.channel.p_good_to_bad =
         burst_frac / (1.0 - burst_frac) / burst_len;
   }
+  if (const char* rule = config.FirstViolation()) {
+    std::fprintf(stderr, "invalid configuration: rule '%s' does not hold\n",
+                 rule);
+    return 2;
+  }
 
   std::printf("parameter set : %s\n", config.params.name.c_str());
   std::printf("query type    : %s\n",
