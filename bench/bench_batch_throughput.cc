@@ -6,7 +6,7 @@
 //
 //   per-query : the convenience `Execute(request)` — transient buffers.
 //   batch     : `ExecuteBatch` through one warm `QueryWorkspace` — scratch
-//               reuse plus the broadcast-cycle memo shared across queries.
+//               and outcome storage reused across queries.
 //
 // Verifies the two modes are field-for-field identical, measures best-of-R
 // throughput for each, and (when built with LBSQ_COUNT_ALLOCS, the default
@@ -71,9 +71,8 @@ struct Workload {
   std::vector<std::vector<core::PeerData>> peer_storage;
 };
 
-// The Table 3 query mix with the spatial locality the memo exploits:
-// clients cluster around hot spots (a few dozen per world), so co-located
-// queries within a broadcast cycle repeat the same cover rectangles.
+// The Table 3 query mix with spatial locality: clients cluster around hot
+// spots (a few dozen per world).
 Workload MakeWorkload(
     const broadcast::BroadcastSystem& system, int n, uint64_t seed) {
   Rng rng(seed);
@@ -129,7 +128,8 @@ bool CommonEq(const core::QueryResultCommon& a,
   return a.stats.access_latency == b.stats.access_latency &&
          a.stats.tuning_time == b.stats.tuning_time &&
          a.stats.buckets_read == b.stats.buckets_read &&
-         a.buckets == b.buckets && a.cacheable.region == b.cacheable.region &&
+         a.retrieval == b.retrieval &&
+         a.cacheable.region == b.cacheable.region &&
          a.cacheable.pois == b.cacheable.pois && a.degraded == b.degraded;
 }
 
@@ -179,7 +179,6 @@ struct BenchResult {
   double batch_qps = 0.0;
   double speedup = 0.0;
   double steady_state_allocs_per_query = 0.0;
-  size_t memo_size = 0;
   std::vector<KernelRow> kernels;
 };
 
@@ -308,7 +307,6 @@ BenchResult RunBench(bool via_store) {
       }
     }
   }
-  result.memo_size = workspace.memo_size();
 
   // Steady state: the workspace is warm after the identity pass; one more
   // full batch must not touch the heap at all.
@@ -384,13 +382,12 @@ void WriteJson(const BenchResult& r, const std::string& path) {
                "  \"speedup\": %.4f,\n"
                "  \"steady_state_allocs_per_query\": %.4f,\n"
                "  \"alloc_counting\": %s,\n"
-               "  \"memo_size\": %zu,\n"
                "  \"simd_tier\": \"%s\",\n"
                "  \"simd_tier_id\": %d",
                kPoiNumber, kWorldSide, kKnnK, kWindowPct, r.n_queries,
                r.per_query_qps, r.batch_qps, r.speedup,
                r.steady_state_allocs_per_query,
-               kAllocCountingEnabled ? "true" : "false", r.memo_size,
+               kAllocCountingEnabled ? "true" : "false",
                kernels::TierName(kernels::ActiveTier()),
                static_cast<int>(kernels::ActiveTier()));
   for (const KernelRow& k : r.kernels) {
@@ -464,7 +461,6 @@ int main(int argc, char** argv) {
   std::printf("  steady-state allocations/query: %.4f%s\n",
               r.steady_state_allocs_per_query,
               kAllocCountingEnabled ? "" : " (counting compiled out)");
-  std::printf("  cycle memo entries: %zu\n", r.memo_size);
   std::printf("  SIMD dispatch tier: %s\n",
               lbsq::kernels::TierName(lbsq::kernels::ActiveTier()));
   for (const KernelRow& k : r.kernels) {

@@ -47,7 +47,7 @@ void MeasureQueries(hilbert::CurveKind curve) {
     win_latency.Add(static_cast<double>(win.stats.access_latency));
     const auto part = onair::BucketsForWindow(
         server, window, onair::WindowRetrieval::kPartitionedRanges);
-    win_buckets_part.Add(static_cast<double>(part.size()));
+    win_buckets_part.Add(static_cast<double>(part.Count()));
   }
   std::printf("%-8s | %11.1f %11.1f | %11.1f %11.1f %12.1f\n",
               curve == hilbert::CurveKind::kHilbert ? "Hilbert" : "Morton",

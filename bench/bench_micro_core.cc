@@ -225,10 +225,10 @@ void BM_WindowRetrieval(benchmark::State& state) {
   for (auto _ : state) {
     const geom::Point a{rng.Uniform(0.0, 80.0), rng.Uniform(0.0, 80.0)};
     const geom::Rect window{a.x, a.y, a.x + 15.0, a.y + 15.0};
-    const auto ids = onair::BucketsForWindow(server, window, retrieval);
-    buckets += static_cast<int64_t>(ids.size());
+    const auto runs = onair::BucketsForWindow(server, window, retrieval);
+    buckets += runs.Count();
     ++queries;
-    benchmark::DoNotOptimize(ids);
+    benchmark::DoNotOptimize(runs);
   }
   state.counters["buckets_per_query"] =
       static_cast<double>(buckets) / static_cast<double>(queries);

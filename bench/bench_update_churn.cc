@@ -24,13 +24,11 @@
 // that count is ZERO: churn must not cost the query path its
 // zero-allocation property.
 //
-// "Steady state" is per epoch: an epoch publication rebinds the workspace
-// memo (covers of the old world are gone with the old system), so each
-// inter-update chunk of the workload runs twice — once uncounted to warm
-// the fresh epoch's memo and the outcome buffers, then measured. The
-// marginal cost of a query on a warm epoch must be allocation-free; the
-// warm-up work is charged to the epoch switch, exactly like the rebuild
-// itself.
+// "Steady state" is per epoch: each inter-update chunk of the workload runs
+// twice — once uncounted to grow the scratch and outcome buffers to the
+// fresh epoch's queries, then measured. The marginal cost of a query on a
+// warm epoch must be allocation-free; the warm-up work is charged to the
+// epoch switch, exactly like the rebuild itself.
 //
 // Writes the results to BENCH_churn.json (see --out). With --baseline=<file>
 // it instead gates: the measured incremental-vs-full speedup must be at
@@ -163,8 +161,8 @@ double Percentile(std::vector<double> v, double p) {
 // One run over the workload on a fresh versioner, chunked at the update
 // interval: apply the batch (timed — publications are part of the churn
 // cost, and each Apply's wall time is recorded as one publish-latency
-// sample), warm the fresh epoch's memo with an uncounted pass over the
-// chunk, then execute the chunk measured.
+// sample), warm the buffers with an uncounted pass over the chunk, then
+// execute the chunk measured.
 ChurnRow RunChurn(const char* name, int interval, bool force_full,
                   const std::vector<spatial::Poi>& pois,
                   const ChurnWorkload& workload) {

@@ -27,6 +27,7 @@ AirIndex::AirIndex(const std::vector<DataBucket>& buckets,
   }
   for (size_t i = 1; i < bucket_ranges_.size(); ++i) {
     LBSQ_CHECK(bucket_ranges_[i - 1].lo <= bucket_ranges_[i].lo);
+    LBSQ_CHECK(bucket_ranges_[i - 1].hi <= bucket_ranges_[i].hi);
   }
   center_xs_.reserve(entries_.size());
   center_ys_.reserve(entries_.size());
@@ -64,6 +65,7 @@ AirIndex::AirIndex(std::vector<Entry> entries,
   }
   for (size_t i = 1; i < bucket_ranges_.size(); ++i) {
     LBSQ_CHECK(bucket_ranges_[i - 1].lo <= bucket_ranges_[i].lo);
+    LBSQ_CHECK(bucket_ranges_[i - 1].hi <= bucket_ranges_[i].hi);
   }
 }
 
@@ -74,47 +76,88 @@ int64_t AirIndex::SizeInBuckets() const {
 }
 
 double AirIndex::KthDistanceUpperBound(geom::Point q, int k) const {
-  std::vector<double> distances;
-  return KthDistanceUpperBound(q, k, &distances);
+  KthBoundScratch scratch;
+  return KthDistanceUpperBound(q, k, &scratch);
 }
 
 double AirIndex::KthDistanceUpperBound(geom::Point q, int k,
-                                       std::vector<double>* scratch) const {
+                                       KthBoundScratch* scratch) const {
   LBSQ_CHECK(k >= 1);
   if (static_cast<int>(entries_.size()) < k) {
     return std::numeric_limits<double>::infinity();
   }
-  std::vector<double>& distances = *scratch;
-  distances.resize(entries_.size());
-  kernels::DistanceBatch(center_xs_.data(), center_ys_.data(),
-                         entries_.size(), q.x, q.y, distances.data());
-  std::nth_element(distances.begin(), distances.begin() + (k - 1),
-                   distances.end());
-  return distances[static_cast<size_t>(k - 1)] + half_cell_diagonal_;
+  const size_t kth = static_cast<size_t>(k - 1);
+  std::vector<double>& distances = scratch->distances;
+  // First guess: the square that holds k entries at the directory's mean
+  // density, moved out to the world when q lies outside it.
+  const geom::Rect& world = grid_->world();
+  double half = world.MinDistance(q) +
+                0.5 * std::sqrt(static_cast<double>(k) * world.area() /
+                                static_cast<double>(entries_.size()));
+  for (;;) {
+    grid_->CoverRect(geom::Rect::CenteredSquare(q, half), &scratch->cover);
+    distances.clear();
+    for (const hilbert::IndexRange& r : scratch->cover) {
+      const auto first = std::lower_bound(
+          entries_.begin(), entries_.end(), r.lo,
+          [](const Entry& e, uint64_t h) { return e.hilbert < h; });
+      const auto last = std::upper_bound(
+          first, entries_.end(), r.hi,
+          [](uint64_t h, const Entry& e) { return h < e.hilbert; });
+      const size_t begin = static_cast<size_t>(first - entries_.begin());
+      const size_t n = static_cast<size_t>(last - first);
+      if (n == 0) continue;
+      const size_t at = distances.size();
+      distances.resize(at + n);
+      kernels::DistanceBatch(center_xs_.data() + begin,
+                             center_ys_.data() + begin, n, q.x, q.y,
+                             distances.data() + at);
+    }
+    if (distances.size() <= kth) {
+      half *= 2.0;
+      continue;
+    }
+    std::nth_element(distances.begin(),
+                     distances.begin() + static_cast<ptrdiff_t>(kth),
+                     distances.end());
+    const double d = distances[kth];
+    // Every center within d of q lies in the square, inside a cell of its
+    // cover (centers sit half a cell in from their cell's edges, which
+    // absorbs the rounding of the square's corners): the k-th smallest
+    // distance of the cover is the directory's.
+    if (d <= half) return d + half_cell_diagonal_;
+    half = d;
+  }
 }
 
-std::vector<int64_t> AirIndex::BucketsForSpan(uint64_t lo, uint64_t hi) const {
-  std::vector<int64_t> out;
-  for (size_t b = 0; b < bucket_ranges_.size(); ++b) {
-    if (bucket_ranges_[b].lo <= hi && bucket_ranges_[b].hi >= lo) {
-      out.push_back(static_cast<int64_t>(b));
-    }
-  }
-  return out;
+BucketInterval AirIndex::BucketsForSpan(uint64_t lo, uint64_t hi) const {
+  // Both ends of the bucket ranges ascend, so the intersecting buckets are
+  // those from the first whose range ends at or after lo up to the last
+  // whose range starts at or before hi.
+  const auto first = std::lower_bound(
+      bucket_ranges_.begin(), bucket_ranges_.end(), lo,
+      [](const hilbert::IndexRange& r, uint64_t v) { return r.hi < v; });
+  const auto end = std::upper_bound(
+      first, bucket_ranges_.end(), hi,
+      [](uint64_t v, const hilbert::IndexRange& r) { return v < r.lo; });
+  return BucketInterval{first - bucket_ranges_.begin(),
+                        end - bucket_ranges_.begin()};
 }
 
-std::vector<int64_t> AirIndex::BucketsForRanges(
-    const std::vector<hilbert::IndexRange>& ranges) const {
-  std::vector<int64_t> out;
-  for (size_t b = 0; b < bucket_ranges_.size(); ++b) {
-    for (const hilbert::IndexRange& r : ranges) {
-      if (bucket_ranges_[b].lo <= r.hi && bucket_ranges_[b].hi >= r.lo) {
-        out.push_back(static_cast<int64_t>(b));
-        break;
-      }
+void AirIndex::BucketsForRanges(const std::vector<hilbert::IndexRange>& ranges,
+                                std::vector<BucketInterval>* out) const {
+  const size_t first = out->size();
+  for (const hilbert::IndexRange& r : ranges) {
+    const BucketInterval span = BucketsForSpan(r.lo, r.hi);
+    if (span.size() == 0) continue;
+    // Ranges ascend, so their intervals start in order; a bucket straddling
+    // two ranges joins their intervals.
+    if (out->size() > first && span.begin <= out->back().end) {
+      out->back().end = std::max(out->back().end, span.end);
+    } else {
+      out->push_back(span);
     }
   }
-  return out;
 }
 
 }  // namespace lbsq::broadcast

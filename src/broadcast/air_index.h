@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "broadcast/client_protocol.h"
 #include "broadcast/packet.h"
 #include "geom/point.h"
 #include "hilbert/hilbert.h"
@@ -17,7 +18,16 @@
 
 namespace lbsq::broadcast {
 
-/// Immutable air-index directory built from the bucketized data file.
+/// Grow-only buffers for AirIndex::KthDistanceUpperBound: the cover of the
+/// current search square and the cell-center distances of the entries in it.
+struct KthBoundScratch {
+  std::vector<hilbert::IndexRange> cover;
+  std::vector<double> distances;
+};
+
+/// Immutable air-index directory built from the bucketized data file. Both
+/// the entries and the per-bucket curve ranges ascend along the curve, so
+/// every lookup below is a binary search, never a scan of the directory.
 class AirIndex {
  public:
   /// One directory entry per object.
@@ -45,8 +55,8 @@ class AirIndex {
   /// All entries, sorted by (hilbert, bucket).
   const std::vector<Entry>& entries() const { return entries_; }
 
-  /// Per bucket: the covered curve range [hilbert_lo, hilbert_hi],
-  /// ascending by bucket id.
+  /// Per bucket: the covered curve range [hilbert_lo, hilbert_hi]; both
+  /// ends ascend with the bucket id.
   const std::vector<hilbert::IndexRange>& bucket_ranges() const {
     return bucket_ranges_;
   }
@@ -66,31 +76,37 @@ class AirIndex {
   /// plus half a cell diagonal. This is how the on-air kNN derives its
   /// search circle before any data bucket arrives. Returns +infinity when
   /// the index holds fewer than k entries.
+  ///
+  /// Only the entries near q are read: a square around q grows until the
+  /// k-th smallest distance among the entries in its cover is no larger
+  /// than its half-side, at which point every entry that close lies in the
+  /// square and the value equals a scan of the whole directory, bit for bit.
   double KthDistanceUpperBound(geom::Point q, int k) const;
 
-  /// KthDistanceUpperBound using `*scratch` for the distance selection
-  /// buffer (cleared and refilled; capacity is reused across calls).
+  /// KthDistanceUpperBound using `*scratch` (cleared and refilled; capacity
+  /// is reused across calls).
   double KthDistanceUpperBound(geom::Point q, int k,
-                               std::vector<double>* scratch) const;
+                               KthBoundScratch* scratch) const;
 
-  /// Ids of the buckets whose Hilbert range intersects [lo, hi], ascending.
-  std::vector<int64_t> BucketsForSpan(uint64_t lo, uint64_t hi) const;
+  /// The ids of the buckets whose Hilbert range intersects [lo, hi]: one
+  /// interval, empty when no bucket does. Two binary searches.
+  BucketInterval BucketsForSpan(uint64_t lo, uint64_t hi) const;
 
-  /// Ids of the buckets whose Hilbert range intersects any of `ranges`
-  /// (sorted ascending ranges as produced by HilbertGrid::CoverRect).
-  /// Deduplicated, ascending.
-  std::vector<int64_t> BucketsForRanges(
-      const std::vector<hilbert::IndexRange>& ranges) const;
+  /// Appends to `*out` the ids of the buckets whose Hilbert range
+  /// intersects any of `ranges` (sorted ascending ranges as produced by
+  /// HilbertGrid::CoverRect), as ascending, disjoint, non-empty intervals.
+  void BucketsForRanges(const std::vector<hilbert::IndexRange>& ranges,
+                        std::vector<BucketInterval>* out) const;
 
  private:
   const hilbert::HilbertGrid* grid_;
   int entries_per_bucket_;
   std::vector<Entry> entries_;
-  // Per bucket: [hilbert_lo, hilbert_hi], ascending by bucket id.
+  // Per bucket: [hilbert_lo, hilbert_hi]; both ends ascend with the id.
   std::vector<hilbert::IndexRange> bucket_ranges_;
   // Entry cell centers, transposed entry-for-entry into SoA columns at build
-  // time so KthDistanceUpperBound is one distance-batch kernel pass instead
-  // of a Hilbert decode per entry per query.
+  // time so KthDistanceUpperBound runs the distance-batch kernel over the
+  // entry runs of its cover instead of a Hilbert decode per entry.
   std::vector<double> center_xs_;
   std::vector<double> center_ys_;
   double half_cell_diagonal_ = 0.0;

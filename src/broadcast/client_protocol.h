@@ -63,6 +63,43 @@ struct IndexReadMode {
   }
 };
 
+/// A run [begin, end) of consecutive data bucket ids (empty when
+/// begin == end).
+struct BucketInterval {
+  int64_t begin = 0;
+  int64_t end = 0;
+
+  int64_t size() const { return end - begin; }
+  friend bool operator==(const BucketInterval&,
+                         const BucketInterval&) = default;
+};
+
+/// The data buckets one retrieval downloads, in the form the air index
+/// yields them: ascending, disjoint, non-empty bucket-id intervals minus
+/// `skipped`, an ascending list of ids inside them the client does not
+/// download (the buckets the SBNN lower-bound filter excuses). A single-span
+/// retrieval is one interval however long its span, so the retrieval is
+/// described, and priced by the closed-form RetrieveBuckets, in time that
+/// follows its end points and skips, not its length.
+struct BucketRetrieval {
+  std::vector<BucketInterval> intervals;
+  std::vector<int64_t> skipped;
+
+  /// Number of buckets downloaded: the interval lengths minus the skips.
+  int64_t Count() const;
+  /// Empties both lists, keeping their capacity.
+  void Clear() {
+    intervals.clear();
+    skipped.clear();
+  }
+  /// Appends the downloaded ids to `*out`, ascending (the per-bucket form
+  /// the faulty channel retrieves).
+  void AppendIds(std::vector<int64_t>* out) const;
+
+  friend bool operator==(const BucketRetrieval&,
+                         const BucketRetrieval&) = default;
+};
+
 /// Simulates retrieving `buckets` (data bucket ids, duplicates allowed)
 /// starting at slot `t`:
 ///  1. initial probe: listen to the current slot to learn the offset of the
@@ -79,8 +116,23 @@ struct IndexReadMode {
 ///
 /// A non-null `trace` receives one span per protocol stage (`bcast.probe`,
 /// `bcast.index`, `bcast.data`, in slots).
+///
+/// This per-bucket form walks every id; the query algorithms use the
+/// closed form below, and this one stays as its reference.
 AccessStats RetrieveBuckets(const BroadcastSchedule& schedule, int64_t t,
                             const std::vector<int64_t>& buckets,
+                            IndexReadMode index_mode = IndexReadMode{},
+                            obs::TraceRecorder* trace = nullptr);
+
+/// The same protocol over `retrieval`, in closed form: identical stats and
+/// trace spans to the per-bucket form over `retrieval`'s ids, in time that
+/// follows the number of intervals and skips. After the index segment the
+/// data buckets go by in cyclic id order starting from the first one on the
+/// air, f; so the last bucket to arrive is the last kept bucket before f
+/// or, when there is none, the last kept bucket overall, and one
+/// NextBucketSlot call gives the completion slot.
+AccessStats RetrieveBuckets(const BroadcastSchedule& schedule, int64_t t,
+                            const BucketRetrieval& retrieval,
                             IndexReadMode index_mode = IndexReadMode{},
                             obs::TraceRecorder* trace = nullptr);
 

@@ -41,6 +41,40 @@ const QueryResultCommon& QueryOutcome::Common() const {
              : static_cast<const QueryResultCommon&>(*window);
 }
 
+SbnnOutcome& QueryOutcome::UseKnn(int k) {
+  kind = QueryKind::kKnn;
+  if (window.has_value()) {
+    idle_window_ = std::move(window);
+    window.reset();
+  }
+  if (!knn.has_value()) {
+    if (idle_knn_.has_value()) {
+      knn = std::move(idle_knn_);
+      idle_knn_.reset();
+    } else {
+      knn.emplace(k);
+    }
+  }
+  return *knn;
+}
+
+SbwqOutcome& QueryOutcome::UseWindow() {
+  kind = QueryKind::kWindow;
+  if (knn.has_value()) {
+    idle_knn_ = std::move(knn);
+    knn.reset();
+  }
+  if (!window.has_value()) {
+    if (idle_window_.has_value()) {
+      window = std::move(idle_window_);
+      idle_window_.reset();
+    } else {
+      window.emplace();
+    }
+  }
+  return *window;
+}
+
 QueryEngine::QueryEngine(const broadcast::BroadcastSystem& system,
                          const geom::Rect& world,
                          const EngineOptions& options)
@@ -65,11 +99,6 @@ void QueryEngine::Execute(const QueryRequest& request,
                           QueryOutcome* outcome) const {
   LBSQ_CHECK(outcome != nullptr);
   request.Validate();
-  // Scope the workspace memo to this system and broadcast cycle; within a
-  // cycle, co-located queries share cover and index lookups.
-  workspace.Prepare(system_,
-                    request.slot / system_.schedule().cycle_length());
-  outcome->kind = request.kind;
   outcome->regions_rejected = 0;
 
   // Fault plumbing. When the engine's FaultConfig is disabled this block
@@ -100,17 +129,13 @@ void QueryEngine::Execute(const QueryRequest& request,
   if (request.kind == QueryKind::kKnn) {
     SbnnOptions sbnn = options_.sbnn;
     if (request.k > 0) sbnn.k = request.k;
-    outcome->window.reset();
-    if (!outcome->knn.has_value()) outcome->knn.emplace(sbnn.k);
     internal::RunSbnn(request.position, sbnn, peers, poi_density_, system_,
-                      request.slot, request.trace, session, workspace,
-                      &*outcome->knn);
+                      request.slot, request.trace, fault.enabled(), session,
+                      workspace, &outcome->UseKnn(sbnn.k));
   } else {
-    outcome->knn.reset();
-    if (!outcome->window.has_value()) outcome->window.emplace();
     internal::RunSbwq(request.window, options_.sbwq, peers, system_,
-                      request.slot, request.trace, session, workspace,
-                      &*outcome->window);
+                      request.slot, request.trace, fault.enabled(), session,
+                      workspace, &outcome->UseWindow());
   }
   // The produced knowledge is complete with respect to this system's world
   // epoch; tag it so cross-epoch consumers can revalidate (epoch 0 — the

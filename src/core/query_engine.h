@@ -30,10 +30,9 @@
 ///  - `Execute(request)` — convenience; allocates transient buffers.
 ///  - `Execute(request, workspace, outcome)` / `ExecuteBatch(requests,
 ///    workspace)` — the steady-state path: all scratch comes from the
-///    caller's `QueryWorkspace`, outcomes recycle their storage, and the
-///    workspace's broadcast-cycle memo shares cover/index work between
-///    co-located queries. Zero heap allocations per query once capacities
-///    are warm (fault-free path; bench_batch_throughput verifies).
+///    caller's `QueryWorkspace` and outcomes recycle their storage. Zero
+///    heap allocations per query once capacities are warm (fault-free
+///    path; bench_batch_throughput verifies).
 
 namespace lbsq::core {
 
@@ -96,7 +95,7 @@ struct QueryOutcome {
   /// True when peers alone answered the query (verified or approximate kNN,
   /// or a fully covered window) — zero broadcast access.
   bool ResolvedByPeers() const;
-  /// The fields shared by both query kinds (stats, buckets, cacheable
+  /// The fields shared by both query kinds (stats, retrieval, cacheable
   /// region, degradation bookkeeping) — one branch here, none for callers.
   QueryResultCommon& Common();
   const QueryResultCommon& Common() const;
@@ -108,6 +107,18 @@ struct QueryOutcome {
   /// True when a faulty channel left the answer best-effort (see the
   /// `degraded` field of QueryResultCommon).
   bool Degraded() const { return Common().degraded; }
+
+  /// Make the kNN (window) outcome the populated one, for a query of `k`
+  /// neighbours. The other kind's storage is set aside, not freed, so an
+  /// outcome reused for a mix of kinds does not reallocate its buffers on
+  /// every change of kind. The returned outcome still holds the previous
+  /// query's content; the query algorithms reset it.
+  SbnnOutcome& UseKnn(int k);
+  SbwqOutcome& UseWindow();
+
+ private:
+  std::optional<SbnnOutcome> idle_knn_;
+  std::optional<SbwqOutcome> idle_window_;
 };
 
 /// The one validated option set shared by every engine — the single
@@ -159,12 +170,11 @@ class QueryEngine {
   void Execute(const QueryRequest& request, QueryWorkspace& workspace,
                QueryOutcome* outcome) const;
 
-  /// Executes `requests` in order through `workspace`, reusing its
-  /// broadcast-cycle memo across the batch (co-located queries share cover
-  /// and index lookups). Returns a view into the workspace's outcome arena,
-  /// valid until the next ExecuteBatch on the same workspace; outcome i
-  /// corresponds to request i and is bit-identical to
-  /// `Execute(requests[i])`.
+  /// Executes `requests` in order through `workspace`, reusing its scratch
+  /// and outcome storage across the batch. Returns a view into the
+  /// workspace's outcome arena, valid until the next ExecuteBatch on the
+  /// same workspace; outcome i corresponds to request i and is bit-identical
+  /// to `Execute(requests[i])`.
   std::span<const QueryOutcome> ExecuteBatch(
       std::span<const QueryRequest> requests,
       QueryWorkspace& workspace) const;

@@ -29,21 +29,26 @@ class ChannelSession;
 namespace lbsq::core::internal {
 
 /// Algorithm 2 (SBNN). Resets `*outcome` for `options.k` and fills it;
-/// scratch and the cycle memo come from `workspace` (which must have been
-/// Prepare()d for `system`). Bit-identical to the pre-workspace free
-/// function for any workspace state.
+/// scratch comes from `workspace`. Bit-identical for any workspace state.
+/// `per_bucket` (set when any fault is enabled) assembles the answer from
+/// every retrieved bucket; otherwise only the buckets of the search
+/// region's cover are read. A non-null `faults` with its channel enabled
+/// retrieves over the faulty channel; otherwise the cost is the closed-form
+/// `broadcast::RetrieveBuckets`.
 void RunSbnn(geom::Point q, const SbnnOptions& options,
              std::span<const PeerData> peers, double poi_density,
              const broadcast::BroadcastSystem& system, int64_t now,
-             obs::TraceRecorder* trace, fault::ChannelSession* faults,
-             QueryWorkspace& workspace, SbnnOutcome* outcome);
+             obs::TraceRecorder* trace, bool per_bucket,
+             fault::ChannelSession* faults, QueryWorkspace& workspace,
+             SbnnOutcome* outcome);
 
 /// Algorithm 3 (SBWQ); same contract as RunSbnn above.
 void RunSbwq(const geom::Rect& window, const SbwqOptions& options,
              std::span<const PeerData> peers,
              const broadcast::BroadcastSystem& system, int64_t now,
-             obs::TraceRecorder* trace, fault::ChannelSession* faults,
-             QueryWorkspace& workspace, SbwqOutcome* outcome);
+             obs::TraceRecorder* trace, bool per_bucket,
+             fault::ChannelSession* faults, QueryWorkspace& workspace,
+             SbwqOutcome* outcome);
 
 }  // namespace lbsq::core::internal
 

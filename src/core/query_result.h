@@ -20,8 +20,9 @@ namespace lbsq::core {
 struct QueryResultCommon {
   /// Broadcast cost (all zero for peer-resolved queries).
   broadcast::AccessStats stats;
-  /// Buckets downloaded on fallback.
-  std::vector<int64_t> buckets;
+  /// The buckets requested on fallback: the retrieval's bucket-id
+  /// intervals and the ids the lower-bound filter skipped inside them.
+  broadcast::BucketRetrieval retrieval;
   /// The verified knowledge this query produced, ready for insertion into
   /// the querier's own cache (empty when the query yielded no complete
   /// coverage — in particular whenever it degraded).
@@ -42,7 +43,7 @@ struct QueryResultCommon {
   /// execution path recycles outcome storage across queries.
   void ResetCommon() {
     stats = broadcast::AccessStats{};
-    buckets.clear();
+    retrieval.Clear();
     cacheable.Clear();
     degraded = false;
     failed_buckets.clear();

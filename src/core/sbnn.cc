@@ -8,7 +8,7 @@
 #include "fault/faulty_channel.h"
 #include "geom/circle.h"
 #include "kernels/kernels.h"
-#include "onair/onair_knn.h"
+#include "onair/onair_window.h"
 
 namespace lbsq::core {
 
@@ -63,8 +63,9 @@ void CacheableFromVerifiedPrefix(geom::Point q, const ResultHeap& heap,
 void RunSbnn(geom::Point q, const SbnnOptions& options,
              std::span<const PeerData> peers, double poi_density,
              const broadcast::BroadcastSystem& system, int64_t now,
-             obs::TraceRecorder* trace, fault::ChannelSession* faults,
-             QueryWorkspace& ws, SbnnOutcome* out) {
+             obs::TraceRecorder* trace, bool per_bucket,
+             fault::ChannelSession* faults, QueryWorkspace& ws,
+             SbnnOutcome* out) {
   options.Validate();
   SbnnOutcome& outcome = *out;
   outcome.Reset(options.k);
@@ -110,7 +111,7 @@ void RunSbnn(geom::Point q, const SbnnOptions& options,
     radius = *upper;
   } else {
     radius = system.index().KthDistanceUpperBound(q, options.k,
-                                                  &ws.index_distances);
+                                                  &ws.kth_bound);
     if (!std::isfinite(radius)) {
       radius = system.grid().world().MaxDistance(q);
     }
@@ -120,46 +121,59 @@ void RunSbnn(geom::Point q, const SbnnOptions& options,
   }
   radius *= options.prefetch_radius_factor;
 
-  // Same bucket set onair::BucketsForCircle computes, but the cover and the
-  // span lookup come from the cycle memo: co-located queries whose search
-  // MBRs clamp to the same grid cells share the work.
+  // The paper's client retrieves one span: the bucket interval from the
+  // first to the last curve position of the search MBR's cover (as
+  // onair::OnAirKnn does).
   const geom::Rect search_mbr = geom::Circle{q, radius}.Mbr();
-  CoverEntry& cover = ws.Cover(system, search_mbr);
-  ws.needed.clear();
-  if (!cover.ranges.empty()) {
-    const std::vector<int64_t>& span = ws.SpanBuckets(system, &cover);
-    ws.needed.assign(span.begin(), span.end());
+  const broadcast::AirIndex& index = system.index();
+  system.grid().CoverRect(search_mbr, &ws.cover);
+  broadcast::BucketRetrieval& retrieval = outcome.retrieval;
+  onair::AppendBucketsForCover(index, ws.cover,
+                               onair::WindowRetrieval::kSingleSpan,
+                               &retrieval.intervals);
+  // Without faults the answer is assembled from the cover's buckets only:
+  // they hold every server POI inside the search MBR, and the span's other
+  // buckets hold nothing within the search radius. Any fault keeps the
+  // per-bucket path over the whole span — losses are drawn per bucket, and
+  // a corrupted peer POI can share its id with a server POI anywhere in the
+  // span.
+  const bool from_cover = !per_bucket;
+  if (from_cover) {
+    ws.cover_buckets.clear();
+    index.BucketsForRanges(ws.cover, &ws.cover_buckets);
   }
 
   // Search lower bound: packets fully covered by the circle C_i of radius
   // d_v (the last verified entry) hold only objects the peers already
-  // supplied (states 1, 3, 4).
+  // supplied (states 1, 3, 4). While d_v is at most the search radius, such
+  // a packet lies in the search circle, so only the cover's buckets need
+  // the test.
   const auto lower = heap.LowerBound();
   if (options.use_filtering && lower.has_value()) {
     const geom::Circle known{q, *lower};
-    ws.kept.clear();
-    for (int64_t id : ws.needed) {
-      const broadcast::DataBucket& bucket =
-          system.buckets()[static_cast<size_t>(id)];
-      if (known.ContainsRect(bucket.mbr)) {
-        ++outcome.buckets_skipped;
-      } else {
-        ws.kept.push_back(id);
+    const std::vector<broadcast::BucketInterval>& candidates =
+        from_cover && *lower <= radius ? ws.cover_buckets
+                                       : retrieval.intervals;
+    for (const broadcast::BucketInterval& run : candidates) {
+      for (int64_t id = run.begin; id < run.end; ++id) {
+        if (known.ContainsRect(system.buckets()[static_cast<size_t>(id)].mbr)) {
+          retrieval.skipped.push_back(id);
+        }
       }
     }
-    ws.needed.swap(ws.kept);
+    outcome.buckets_skipped = static_cast<int64_t>(retrieval.skipped.size());
   }
 
-  outcome.buckets.assign(ws.needed.begin(), ws.needed.end());
   broadcast::IndexReadMode index_mode =
       broadcast::IndexReadMode::FlatDirectory();
   if (system.tree_index() != nullptr) {
     index_mode =
-        broadcast::IndexReadMode::TreePaths(ws.TreeReadBuckets(system, &cover));
+        broadcast::IndexReadMode::TreePaths(system.IndexReadBuckets(ws.cover));
   }
-  const std::vector<int64_t>* retrieved = &ws.needed;
-  bool complete_span = false;
+  const std::vector<int64_t>* received = nullptr;
   if (faults != nullptr && faults->channel_enabled()) {
+    ws.needed.clear();
+    retrieval.AppendIds(&ws.needed);
     fault::FaultyRetrievalResult r =
         faults->Retrieve(system.schedule(), now, ws.needed, index_mode, trace);
     outcome.stats = r.stats;
@@ -171,13 +185,10 @@ void RunSbnn(geom::Point q, const SbnnOptions& options,
       outcome.failed_buckets = std::move(r.failed);
     }
     ws.retrieved = std::move(r.received);
-    retrieved = &ws.retrieved;
+    received = &ws.retrieved;
   } else {
     outcome.stats = broadcast::RetrieveBuckets(system.schedule(), now,
-                                               ws.needed, index_mode, trace);
-    // With no filter removals the retrieved set IS the memoized span, so
-    // its collected content can come from the memo too.
-    complete_span = outcome.buckets_skipped == 0 && !cover.ranges.empty();
+                                               retrieval, index_mode, trace);
   }
   if (trace != nullptr) {
     trace->Span("sbnn.fallback", now, now + outcome.stats.access_latency);
@@ -185,31 +196,62 @@ void RunSbnn(geom::Point q, const SbnnOptions& options,
                    static_cast<double>(outcome.buckets_skipped));
   }
 
-  // Assemble the exact answer from the downloaded buckets plus everything
-  // the peers supplied (which covers any packets the filter skipped).
-  if (complete_span) {
-    const std::vector<spatial::Poi>& memo = ws.SpanPois(system, &cover);
-    ws.known_pois.assign(memo.begin(), memo.end());
-  } else {
-    system.CollectPois(*retrieved, &ws.collect_scratch, &ws.known_pois);
-  }
-  // Both CollectPois and the memoized span content are already sorted by id
-  // and deduplicated, so the canonicalizing sort is only needed when peer
-  // candidates were actually merged in.
-  if (!outcome.nnv.candidates.empty()) {
-    for (const spatial::PoiDistance& c : outcome.nnv.candidates) {
-      ws.known_pois.push_back(c.poi);
+  // Answers from the server POIs in ws.known_pois plus everything the peers
+  // supplied (which covers any packets the filter skipped), canonicalized
+  // by id. CollectPois output is already sorted by id and deduplicated;
+  // the bucket scan below is not.
+  const auto answer = [&](bool sorted_by_id) {
+    if (!sorted_by_id || !outcome.nnv.candidates.empty()) {
+      for (const spatial::PoiDistance& c : outcome.nnv.candidates) {
+        ws.known_pois.push_back(c.poi);
+      }
+      std::sort(ws.known_pois.begin(), ws.known_pois.end(),
+                [](const spatial::Poi& a, const spatial::Poi& b) {
+                  return a.id < b.id;
+                });
+      ws.known_pois.erase(
+          std::unique(ws.known_pois.begin(), ws.known_pois.end()),
+          ws.known_pois.end());
     }
-    std::sort(ws.known_pois.begin(), ws.known_pois.end(),
-              [](const spatial::Poi& a, const spatial::Poi& b) {
-                return a.id < b.id;
-              });
-    ws.known_pois.erase(
-        std::unique(ws.known_pois.begin(), ws.known_pois.end()),
-        ws.known_pois.end());
+    spatial::BruteForceKnn(ws.known_pois, q, options.k, &ws.slab,
+                           &outcome.neighbors);
+  };
+  // The per-bucket answer: every downloaded bucket of the span.
+  const auto answer_from_span = [&]() {
+    ws.needed.clear();
+    retrieval.AppendIds(&ws.needed);
+    system.CollectPois(ws.needed, &ws.collect_scratch, &ws.known_pois);
+    answer(true);
+  };
+  if (received != nullptr) {
+    system.CollectPois(*received, &ws.collect_scratch, &ws.known_pois);
+    answer(true);
+  } else if (!from_cover) {
+    answer_from_span();
+  } else {
+    // The server POIs inside the search MBR, from the cover's buckets the
+    // filter kept.
+    ws.known_pois.clear();
+    auto skip = retrieval.skipped.begin();
+    for (const broadcast::BucketInterval& run : ws.cover_buckets) {
+      for (int64_t id = run.begin; id < run.end; ++id) {
+        while (skip != retrieval.skipped.end() && *skip < id) ++skip;
+        if (skip != retrieval.skipped.end() && *skip == id) continue;
+        for (const spatial::Poi& poi :
+             system.buckets()[static_cast<size_t>(id)].pois) {
+          if (search_mbr.Contains(poi.pos)) ws.known_pois.push_back(poi);
+        }
+      }
+    }
+    answer(false);
+    // Exact when the k-th neighbor lies within the search radius: every
+    // span POI at most that far lies in the search MBR. Otherwise (fewer
+    // than k POIs that close in the MBR) answer from the whole span.
+    if (outcome.neighbors.size() < static_cast<size_t>(options.k) ||
+        outcome.neighbors.back().distance > radius) {
+      answer_from_span();
+    }
   }
-  spatial::BruteForceKnn(ws.known_pois, q, options.k, &ws.slab,
-                         &outcome.neighbors);
 
   // Every cell intersecting the search MBR is covered by a bucket that was
   // either downloaded or skipped-as-peer-known, so the client now has

@@ -17,11 +17,55 @@ void SbwqOptions::Validate() const {
 
 namespace internal {
 
+namespace {
+
+// Sorts `*runs` by start and merges overlapping or adjacent intervals:
+// the union as ascending, disjoint intervals.
+void MergeIntervals(std::vector<broadcast::BucketInterval>* runs) {
+  std::sort(runs->begin(), runs->end(),
+            [](const broadcast::BucketInterval& a,
+               const broadcast::BucketInterval& b) {
+              return a.begin < b.begin;
+            });
+  size_t kept = 0;
+  for (const broadcast::BucketInterval& run : *runs) {
+    if (kept > 0 && run.begin <= (*runs)[kept - 1].end) {
+      (*runs)[kept - 1].end = std::max((*runs)[kept - 1].end, run.end);
+    } else {
+      (*runs)[kept++] = run;
+    }
+  }
+  runs->resize(kept);
+}
+
+// Appends the ids in both `a` and `b` (each ascending and disjoint) to
+// `*out`, ascending.
+void AppendCommonIds(const std::vector<broadcast::BucketInterval>& a,
+                     const std::vector<broadcast::BucketInterval>& b,
+                     std::vector<int64_t>* out) {
+  size_t i = 0;
+  size_t j = 0;
+  while (i < a.size() && j < b.size()) {
+    const int64_t end = std::min(a[i].end, b[j].end);
+    for (int64_t id = std::max(a[i].begin, b[j].begin); id < end; ++id) {
+      out->push_back(id);
+    }
+    if (a[i].end < b[j].end) {
+      ++i;
+    } else {
+      ++j;
+    }
+  }
+}
+
+}  // namespace
+
 void RunSbwq(const geom::Rect& window, const SbwqOptions& options,
              std::span<const PeerData> peers,
              const broadcast::BroadcastSystem& system, int64_t now,
-             obs::TraceRecorder* trace, fault::ChannelSession* faults,
-             QueryWorkspace& ws, SbwqOutcome* out) {
+             obs::TraceRecorder* trace, bool per_bucket,
+             fault::ChannelSession* faults, QueryWorkspace& ws,
+             SbwqOutcome* out) {
   options.Validate();
   LBSQ_CHECK(!window.empty());
   SbwqOutcome& outcome = *out;
@@ -44,10 +88,9 @@ void RunSbwq(const geom::Rect& window, const SbwqOptions& options,
       for (size_t j = 0; j < m; ++j) pool.push_back(vr.pois[idx[j]]);
     }
   }
-  // Everything pooled from here on comes from CollectPois or the cycle memo
-  // — already sorted by id and deduplicated, with selections preserving that
-  // order — so the canonicalizing sort below is only needed when the peers
-  // contributed.
+  // Everything pooled from here on is server content — sorted by id and
+  // free of duplicates — so the canonicalizing sort below is only needed
+  // when the peers contributed.
   const size_t peer_pool_size = pool.size();
 
   // Residual windows w' = w \ MVR.
@@ -72,58 +115,45 @@ void RunSbwq(const geom::Rect& window, const SbwqOptions& options,
     if (trace != nullptr) trace->Counter("sbwq.peers_resolved", 1.0);
   } else {
     // Solve the residual window(s) on air. Without window reduction the
-    // baseline retrieves the whole original window. Covers and the bucket
-    // lookups derived from them come from the cycle memo.
-    const bool single_span =
-        options.retrieval == onair::WindowRetrieval::kSingleSpan;
-    ws.needed.clear();
-    // Set when exactly one cover fed `needed`: its lookup is already sorted
-    // and unique, so the memoized bucket content applies verbatim.
-    CoverEntry* sole_cover = nullptr;
+    // baseline retrieves the whole original window.
+    const broadcast::AirIndex& index = system.index();
+    const bool tree = system.tree_index() != nullptr;
+    broadcast::BucketRetrieval& retrieval = outcome.retrieval;
+    // Without faults the answer comes from the window's cover (below), so
+    // it is computed once and reused for a region equal to the window.
+    if (!per_bucket) system.grid().CoverRect(window, &ws.window_cover);
+    ws.lookups.clear();
+    const auto retrieve_region = [&](const geom::Rect& region) {
+      const std::vector<hilbert::IndexRange>* cover = &ws.window_cover;
+      if (per_bucket || !(region == window)) {
+        system.grid().CoverRect(region, &ws.cover);
+        cover = &ws.cover;
+      }
+      if (tree) {
+        ws.lookups.insert(ws.lookups.end(), cover->begin(), cover->end());
+      }
+      onair::AppendBucketsForCover(index, *cover, options.retrieval,
+                                   &retrieval.intervals);
+    };
     if (options.use_window_reduction) {
       for (const geom::Rect& residual : outcome.residual_windows) {
-        CoverEntry& cover = ws.Cover(system, residual);
-        if (outcome.residual_windows.size() == 1) sole_cover = &cover;
-        if (cover.ranges.empty()) continue;
-        const std::vector<int64_t>& part = single_span
-                                               ? ws.SpanBuckets(system, &cover)
-                                               : ws.RangeBuckets(system, &cover);
-        ws.needed.insert(ws.needed.end(), part.begin(), part.end());
+        retrieve_region(residual);
       }
     } else {
-      CoverEntry& cover = ws.Cover(system, window);
-      sole_cover = &cover;
-      if (!cover.ranges.empty()) {
-        const std::vector<int64_t>& part = single_span
-                                               ? ws.SpanBuckets(system, &cover)
-                                               : ws.RangeBuckets(system, &cover);
-        ws.needed.insert(ws.needed.end(), part.begin(), part.end());
-      }
+      retrieve_region(window);
     }
-    std::sort(ws.needed.begin(), ws.needed.end());
-    ws.needed.erase(std::unique(ws.needed.begin(), ws.needed.end()),
-                    ws.needed.end());
-    outcome.buckets.assign(ws.needed.begin(), ws.needed.end());
+    MergeIntervals(&retrieval.intervals);
     broadcast::IndexReadMode index_mode =
         broadcast::IndexReadMode::FlatDirectory();
-    if (system.tree_index() != nullptr) {
-      if (sole_cover != nullptr) {
-        index_mode = broadcast::IndexReadMode::TreePaths(
-            ws.TreeReadBuckets(system, sole_cover));
-      } else {
-        ws.lookups.clear();
-        for (const geom::Rect& residual : outcome.residual_windows) {
-          const std::vector<hilbert::IndexRange>& part =
-              ws.Cover(system, residual).ranges;
-          ws.lookups.insert(ws.lookups.end(), part.begin(), part.end());
-        }
-        index_mode = broadcast::IndexReadMode::TreePaths(
-            system.IndexReadBuckets(ws.lookups));
-      }
+    if (tree) {
+      index_mode = broadcast::IndexReadMode::TreePaths(
+          system.IndexReadBuckets(ws.lookups));
     }
-    const std::vector<int64_t>* retrieved = &ws.needed;
-    bool complete_cover = false;
+
+    const std::vector<int64_t>* received = &ws.needed;
+    ws.needed.clear();
     if (faults != nullptr && faults->channel_enabled()) {
+      retrieval.AppendIds(&ws.needed);
       fault::FaultyRetrievalResult r =
           faults->Retrieve(system.schedule(), now, ws.needed, index_mode,
                            trace);
@@ -136,31 +166,36 @@ void RunSbwq(const geom::Rect& window, const SbwqOptions& options,
         outcome.failed_buckets = std::move(r.failed);
       }
       ws.retrieved = std::move(r.received);
-      retrieved = &ws.retrieved;
+      received = &ws.retrieved;
     } else {
       outcome.stats = broadcast::RetrieveBuckets(system.schedule(), now,
-                                                 ws.needed, index_mode, trace);
-      complete_cover = sole_cover != nullptr && !sole_cover->ranges.empty();
+                                                 retrieval, index_mode, trace);
+      if (per_bucket) retrieval.AppendIds(&ws.needed);
     }
     if (trace != nullptr) {
       trace->Span("sbwq.fallback", now, now + outcome.stats.access_latency);
     }
-    if (complete_cover) {
-      // The memoized bucket content carries its own SoA transpose: the
-      // residual-window filter is a single kernel pass, no per-query
-      // transpose.
-      const std::vector<spatial::Poi>& memo =
-          single_span ? ws.SpanPois(system, sole_cover)
-                      : ws.RangePois(system, sole_cover);
-      const kernels::PoiSlab& mslab =
-          single_span ? sole_cover->span_slab : sole_cover->range_slab;
-      uint32_t* idx = ws.slab.IdxFor(mslab.size());
-      const size_t m = kernels::SelectInWindow(
-          mslab.xs(), mslab.ys(), mslab.size(), window.x1, window.y1,
-          window.x2, window.y2, idx);
-      for (size_t j = 0; j < m; ++j) pool.push_back(memo[idx[j]]);
+    if (!per_bucket) {
+      // Every retrieved POI inside the window lies in a retrieved bucket of
+      // the window's cover: filter those buckets and order the selection
+      // by id, as the bucket content merged by id would be.
+      ws.cover_buckets.clear();
+      index.BucketsForRanges(ws.window_cover, &ws.cover_buckets);
+      AppendCommonIds(ws.cover_buckets, retrieval.intervals, &ws.needed);
+      const size_t first = pool.size();
+      for (const int64_t id : ws.needed) {
+        for (const spatial::Poi& poi :
+             system.buckets()[static_cast<size_t>(id)].pois) {
+          if (window.Contains(poi.pos)) pool.push_back(poi);
+        }
+      }
+      std::sort(pool.begin() + static_cast<ptrdiff_t>(first), pool.end(),
+                [](const spatial::Poi& a, const spatial::Poi& b) {
+                  return a.id < b.id;
+                });
     } else {
-      system.CollectPois(*retrieved, &ws.collect_scratch, &ws.known_pois);
+      // With any fault: every bucket the channel delivered.
+      system.CollectPois(*received, &ws.collect_scratch, &ws.known_pois);
       const size_t n = ws.known_pois.size();
       ws.slab.slab.Assign(ws.known_pois.data(), n);
       uint32_t* idx = ws.slab.IdxFor(n);

@@ -224,7 +224,7 @@ void ShardedQueryEngine::ExecuteKnn(const QueryRequest& request,
                               static_cast<ptrdiff_t>(take));
   merged.stats = stats;
   merged.buckets_skipped = skipped;
-  merged.buckets.clear();
+  merged.retrieval.Clear();
   merged.failed_buckets.clear();
 
   // Rebuild the cacheable as a pure function of the merged answer, so the
@@ -252,7 +252,7 @@ void ShardedQueryEngine::ExecuteWindow(const QueryRequest& request,
                                        ShardedQueryWorkspace& ws,
                                        QueryOutcome* outcome) const {
   // Route through the curve: the shards owning any cell the window covers.
-  routing_grid_.CoverRect(request.window, &ws.cover_scratch_, &ws.cover_);
+  routing_grid_.CoverRect(request.window, &ws.cover_);
   map_.ShardsTouching(ws.cover_, &ws.touched_);
 
   int lead = -1;
@@ -313,7 +313,7 @@ void ShardedQueryEngine::ExecuteWindow(const QueryRequest& request,
   SbwqOutcome& merged = *outcome->window;
   merged.pois.assign(ws.merged_pois_.begin(), ws.merged_pois_.end());
   merged.stats = stats;
-  merged.buckets.clear();
+  merged.retrieval.Clear();
   merged.failed_buckets.clear();
   // The MVR, residual windows, and residual fraction are functions of
   // (window, peers) alone — the lead's values stand for the whole query.

@@ -54,8 +54,8 @@
 ///    channels broadcast concurrently; the client tunes them in parallel),
 ///    `tuning_time` and `buckets_read` are sums (receiver-on time and
 ///    download volume are additive costs).
-///  - `buckets` / `failed_buckets` are left empty — per-channel bucket ids
-///    are meaningless without a channel id.
+///  - `retrieval` / `failed_buckets` are left empty — per-channel bucket
+///    ids are meaningless without a channel id.
 ///  - The kNN `cacheable` is rebuilt as a pure function of the merged
 ///    answer (the axis-aligned square inscribed in the k-th neighbor's
 ///    disc), so cache evolution cannot observe the shard layout; with
@@ -72,8 +72,7 @@
 namespace lbsq::core {
 
 /// Per-thread scratch for ShardedQueryEngine: one QueryWorkspace per shard
-/// (each shard's covers memoize independently) plus the merge buffers. All
-/// storage is grow-only.
+/// plus the merge buffers. All storage is grow-only.
 class ShardedQueryWorkspace {
  public:
   ShardedQueryWorkspace() = default;
@@ -90,7 +89,6 @@ class ShardedQueryWorkspace {
 
   std::vector<std::unique_ptr<QueryWorkspace>> shards_;
   /// Window-routing scratch: the window's Hilbert cover and touched shards.
-  std::vector<uint64_t> cover_scratch_;
   std::vector<hilbert::IndexRange> cover_;
   std::vector<int> touched_;
   /// Partial outcome of each secondary shard (recycled between shards).

@@ -98,7 +98,7 @@ class DynamicQueryEngine {
 
   /// Pins the current epoch, revalidates `peers` against it, and executes
   /// the request on the pinned epoch's engine through `workspace` (whose
-  /// memo re-binds automatically on an epoch change).
+  /// scratch serves any epoch).
   ///
   /// `peers` is the host's own mutable peer-knowledge snapshot — the one
   /// place dynamic execution edits: regions invalidated by the separating

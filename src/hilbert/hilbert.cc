@@ -1,6 +1,7 @@
 #include "hilbert/hilbert.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "common/check.h"
@@ -120,35 +121,96 @@ geom::Rect HilbertGrid::CellRect(CellXY cell) const {
 
 std::vector<IndexRange> HilbertGrid::CoverRect(const geom::Rect& query) const {
   std::vector<IndexRange> ranges;
-  std::vector<uint64_t> scratch;
-  CoverRect(query, &scratch, &ranges);
+  CoverRect(query, &ranges);
   return ranges;
 }
 
 void HilbertGrid::CoverRect(const geom::Rect& query,
-                            std::vector<uint64_t>* scratch,
                             std::vector<IndexRange>* out) const {
-  LBSQ_CHECK(scratch != nullptr && out != nullptr);
+  LBSQ_CHECK(out != nullptr);
   out->clear();
   const geom::Rect q = query.Intersection(world_);
   if (q.empty()) return;
-  const CellXY lo = CellOf({q.x1, q.y1});
-  const CellXY hi = CellOf({q.x2, q.y2});
-  std::vector<uint64_t>& indexes = *scratch;
-  indexes.clear();
-  indexes.reserve(static_cast<size_t>(hi.x - lo.x + 1) * (hi.y - lo.y + 1));
-  for (uint32_t y = lo.y; y <= hi.y; ++y) {
-    for (uint32_t x = lo.x; x <= hi.x; ++x) {
-      indexes.push_back(ToIndex(CellXY{x, y}));
+  CoverBlock(Block{0, 0, order_, 0, 0}, CellOf({q.x1, q.y1}),
+             CellOf({q.x2, q.y2}), out);
+}
+
+namespace {
+
+// One quadrant of a block in curve order: its offset (in half-sides) from
+// the block's lowest cell and the orientation the curve enters it with.
+struct Quadrant {
+  uint32_t qx;
+  uint32_t qy;
+  int orientation;
+};
+
+// kQuadrants[o][d]: the quadrant with curve digit d inside a Hilbert block
+// entered with orientation o. An orientation records the reflections
+// XyToIndex has applied to the coordinates by a level: bit 0 = x and y
+// swapped, bit 1 = both flipped. The digit and the next orientation follow
+// XyToIndex and Rot step for step.
+constexpr std::array<std::array<Quadrant, 4>, 4> MakeHilbertQuadrants() {
+  std::array<std::array<Quadrant, 4>, 4> table{};
+  for (int o = 0; o < 4; ++o) {
+    const uint32_t swapped = static_cast<uint32_t>(o & 1);
+    const uint32_t flipped = static_cast<uint32_t>(o >> 1);
+    for (uint32_t qy = 0; qy < 2; ++qy) {
+      for (uint32_t qx = 0; qx < 2; ++qx) {
+        const uint32_t rx = (swapped != 0 ? qy : qx) ^ flipped;
+        const uint32_t ry = (swapped != 0 ? qx : qy) ^ flipped;
+        int next = o;
+        if (ry == 0) {
+          if (rx == 1) next ^= 2;
+          next ^= 1;
+        }
+        table[static_cast<size_t>(o)][(3 * rx) ^ ry] = Quadrant{qx, qy, next};
+      }
     }
   }
-  std::sort(indexes.begin(), indexes.end());
-  for (uint64_t idx : indexes) {
-    if (!out->empty() && out->back().hi + 1 == idx) {
-      out->back().hi = idx;
+  return table;
+}
+constexpr std::array<std::array<Quadrant, 4>, 4> kHilbertQuadrants =
+    MakeHilbertQuadrants();
+
+// Morton digits interleave the bits: d = 2 * y + x, in every block.
+constexpr std::array<Quadrant, 4> kMortonQuadrants = {
+    Quadrant{0, 0, 0}, Quadrant{1, 0, 0}, Quadrant{0, 1, 0},
+    Quadrant{1, 1, 0}};
+
+}  // namespace
+
+void HilbertGrid::CoverBlock(const Block& block, CellXY lo, CellXY hi,
+                             std::vector<IndexRange>* out) const {
+  const uint32_t last = (1u << block.level) - 1;  // spans [x, x + last]
+  if (lo.x <= block.x && block.x + last <= hi.x && lo.y <= block.y &&
+      block.y + last <= hi.y) {
+    // An aligned block is one curve range: [base, base + 4^level - 1].
+    const uint64_t end = block.base + (uint64_t{1} << (2 * block.level)) - 1;
+    if (!out->empty() && out->back().hi + 1 == block.base) {
+      out->back().hi = end;
     } else {
-      out->push_back(IndexRange{idx, idx});
+      out->push_back(IndexRange{block.base, end});
     }
+    return;
+  }
+  // Partly covered, so level >= 1 (a single cell is all or nothing): visit
+  // the quadrants the query touches, in curve order.
+  const int level = block.level - 1;
+  const uint32_t half = 1u << level;
+  const std::array<Quadrant, 4>& order =
+      curve_ == CurveKind::kHilbert
+          ? kHilbertQuadrants[static_cast<size_t>(block.orientation)]
+          : kMortonQuadrants;
+  for (uint64_t digit = 0; digit < 4; ++digit) {
+    const Quadrant& q = order[digit];
+    const Block quadrant{block.x + q.qx * half, block.y + q.qy * half, level,
+                         block.base + (digit << (2 * level)), q.orientation};
+    if (quadrant.x > hi.x || quadrant.y > hi.y ||
+        quadrant.x + half - 1 < lo.x || quadrant.y + half - 1 < lo.y) {
+      continue;
+    }
+    CoverBlock(quadrant, lo, hi, out);
   }
 }
 

@@ -97,15 +97,35 @@ class HilbertGrid {
   /// This is the "search-space partition" retrieval set of the on-air window
   /// query; the single [min, max] span of the basic algorithm is the hull of
   /// the returned ranges.
+  ///
+  /// Computed by descent over aligned power-of-two blocks of cells: such a
+  /// block is one contiguous curve range under both linearizations, so a
+  /// block the query covers whole is emitted as one range and only the
+  /// blocks its boundary crosses are split, in curve order. The cost follows
+  /// the query's perimeter in cells, not its area.
   std::vector<IndexRange> CoverRect(const geom::Rect& query) const;
 
   /// Allocation-free variant: clears and fills `*out` (same content as the
-  /// returning overload), using `*scratch` for the cell-index sort. Both
-  /// vectors keep their capacity across calls.
-  void CoverRect(const geom::Rect& query, std::vector<uint64_t>* scratch,
-                 std::vector<IndexRange>* out) const;
+  /// returning overload); `*out` keeps its capacity across calls.
+  void CoverRect(const geom::Rect& query, std::vector<IndexRange>* out) const;
 
  private:
+  /// An aligned block of cells in the cover descent: side 2^level from
+  /// cell (x, y), curve indexes from `base`, and (Hilbert only) the
+  /// orientation the curve enters it with.
+  struct Block {
+    uint32_t x = 0;
+    uint32_t y = 0;
+    int level = 0;
+    uint64_t base = 0;
+    int orientation = 0;
+  };
+
+  /// Appends to `*out`, in curve order, the cover of the cells [lo, hi]
+  /// (inclusive, per axis) inside `block`, which must intersect them.
+  void CoverBlock(const Block& block, CellXY lo, CellXY hi,
+                  std::vector<IndexRange>* out) const;
+
   geom::Rect world_;
   int order_;
   CurveKind curve_;

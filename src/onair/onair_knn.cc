@@ -1,26 +1,11 @@
 #include "onair/onair_knn.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
+#include "onair/onair_window.h"
 
 namespace lbsq::onair {
-
-std::vector<int64_t> BucketsForCircle(
-    const broadcast::BroadcastSystem& system, const geom::Circle& circle,
-    KnnRetrieval retrieval) {
-  const std::vector<hilbert::IndexRange> ranges =
-      system.grid().CoverRect(circle.Mbr());
-  if (ranges.empty()) return {};
-  if (retrieval == KnnRetrieval::kSingleSpan) {
-    // Basic algorithm: one contiguous span from the first to the last curve
-    // position inside the range (the "a to b" segment of the paper's
-    // Figure 4).
-    return system.index().BucketsForSpan(ranges.front().lo, ranges.back().hi);
-  }
-  return system.index().BucketsForRanges(ranges);
-}
 
 OnAirKnnResult OnAirKnn(const broadcast::BroadcastSystem& system,
                         geom::Point q, int k, int64_t now) {
@@ -37,16 +22,35 @@ OnAirKnnResult OnAirKnn(const broadcast::BroadcastSystem& system,
   result.search_circle = geom::Circle{q, radius};
 
   // Pass 2 (data retrieval): download the span covering the circle's MBR.
-  result.buckets = BucketsForCircle(system, result.search_circle);
+  const std::vector<hilbert::IndexRange> cover =
+      system.grid().CoverRect(result.search_circle.Mbr());
+  AppendBucketsForCover(system.index(), cover, WindowRetrieval::kSingleSpan,
+                        &result.retrieval.intervals);
   broadcast::IndexReadMode index_mode = broadcast::IndexReadMode::FlatDirectory();
   if (system.tree_index() != nullptr) {
-    index_mode = broadcast::IndexReadMode::TreePaths(system.IndexReadBuckets(
-        system.grid().CoverRect(result.search_circle.Mbr())));
+    index_mode =
+        broadcast::IndexReadMode::TreePaths(system.IndexReadBuckets(cover));
   }
   result.stats = broadcast::RetrieveBuckets(system.schedule(), now,
-                                            result.buckets, index_mode);
-  const std::vector<spatial::Poi> received = system.CollectPois(result.buckets);
-  result.neighbors = spatial::BruteForceKnn(received, q, k);
+                                            result.retrieval, index_mode);
+
+  // The k nearest lie in the search circle, so in its MBR's cover: answer
+  // from the cover's buckets, and from the whole span only when those hold
+  // fewer than k POIs within the radius.
+  const auto knn_from = [&](const broadcast::BucketRetrieval& buckets) {
+    std::vector<int64_t> ids;
+    buckets.AppendIds(&ids);
+    result.neighbors = spatial::BruteForceKnn(system.CollectPois(ids), q, k);
+  };
+  broadcast::BucketRetrieval cover_buckets;
+  AppendBucketsForCover(system.index(), cover,
+                        WindowRetrieval::kPartitionedRanges,
+                        &cover_buckets.intervals);
+  knn_from(cover_buckets);
+  if (result.neighbors.size() < static_cast<size_t>(k) ||
+      result.neighbors.back().distance > radius) {
+    knn_from(result.retrieval);
+  }
   return result;
 }
 

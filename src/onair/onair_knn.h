@@ -15,7 +15,9 @@
 /// derive a search circle guaranteed to contain the k nearest objects, take
 /// the MBR of that circle as the search range, and download every data
 /// bucket whose Hilbert span falls within the range's span. This is the
-/// algorithm the paper's sharing-based approach improves upon.
+/// algorithm the paper's sharing-based approach improves upon. The model
+/// prices the whole span in closed form but reads only the buckets of the
+/// MBR's cover, which hold the answer.
 
 namespace lbsq::onair {
 
@@ -27,30 +29,13 @@ struct OnAirKnnResult {
   broadcast::AccessStats stats;
   /// The search circle derived from the index.
   geom::Circle search_circle;
-  /// Buckets downloaded.
-  std::vector<int64_t> buckets;
+  /// Buckets downloaded: the span of the search circle's MBR.
+  broadcast::BucketRetrieval retrieval;
 };
 
 /// Executes an on-air kNN for query point `q` issued at slot `now`.
 OnAirKnnResult OnAirKnn(const broadcast::BroadcastSystem& system,
                         geom::Point q, int k, int64_t now);
-
-/// Retrieval strategy for the on-air kNN.
-enum class KnnRetrieval {
-  /// One contiguous span covering the search MBR (the basic algorithm and
-  /// the paper's client).
-  kSingleSpan,
-  /// The exact interval cover of the search MBR (the search-space partition
-  /// refinement applied to kNN).
-  kPartitionedRanges,
-};
-
-/// Computes the set of buckets the baseline would download for a search
-/// circle. Exposed for the sharing-based filter, which starts from the same
-/// set.
-std::vector<int64_t> BucketsForCircle(
-    const broadcast::BroadcastSystem& system, const geom::Circle& circle,
-    KnnRetrieval retrieval = KnnRetrieval::kSingleSpan);
 
 }  // namespace lbsq::onair
 

@@ -7,31 +7,56 @@
 
 namespace lbsq::onair {
 
-std::vector<int64_t> BucketsForWindow(const broadcast::BroadcastSystem& system,
-                                      const geom::Rect& window,
-                                      WindowRetrieval retrieval) {
-  const std::vector<hilbert::IndexRange> ranges =
-      system.grid().CoverRect(window);
-  if (ranges.empty()) return {};
+void AppendBucketsForCover(const broadcast::AirIndex& index,
+                           const std::vector<hilbert::IndexRange>& cover,
+                           WindowRetrieval retrieval,
+                           std::vector<broadcast::BucketInterval>* out) {
+  if (cover.empty()) return;
   if (retrieval == WindowRetrieval::kSingleSpan) {
-    return system.index().BucketsForSpan(ranges.front().lo, ranges.back().hi);
+    // Basic algorithm: one contiguous span from the first to the last curve
+    // position inside the range (the "a to b" segment of the paper's
+    // Figure 4).
+    const broadcast::BucketInterval span =
+        index.BucketsForSpan(cover.front().lo, cover.back().hi);
+    if (span.size() > 0) out->push_back(span);
+  } else {
+    index.BucketsForRanges(cover, out);
   }
-  return system.index().BucketsForRanges(ranges);
+}
+
+broadcast::BucketRetrieval BucketsForWindow(
+    const broadcast::BroadcastSystem& system, const geom::Rect& window,
+    WindowRetrieval retrieval) {
+  broadcast::BucketRetrieval out;
+  AppendBucketsForCover(system.index(), system.grid().CoverRect(window),
+                        retrieval, &out.intervals);
+  return out;
 }
 
 OnAirWindowResult OnAirWindow(const broadcast::BroadcastSystem& system,
                               const geom::Rect& window, int64_t now,
                               WindowRetrieval retrieval) {
   OnAirWindowResult result;
-  result.buckets = BucketsForWindow(system, window, retrieval);
+  const std::vector<hilbert::IndexRange> cover =
+      system.grid().CoverRect(window);
+  AppendBucketsForCover(system.index(), cover, retrieval,
+                        &result.retrieval.intervals);
   broadcast::IndexReadMode index_mode = broadcast::IndexReadMode::FlatDirectory();
   if (system.tree_index() != nullptr) {
-    index_mode = broadcast::IndexReadMode::TreePaths(
-        system.IndexReadBuckets(system.grid().CoverRect(window)));
+    index_mode =
+        broadcast::IndexReadMode::TreePaths(system.IndexReadBuckets(cover));
   }
   result.stats = broadcast::RetrieveBuckets(system.schedule(), now,
-                                            result.buckets, index_mode);
-  const std::vector<spatial::Poi> received = system.CollectPois(result.buckets);
+                                            result.retrieval, index_mode);
+  // Every POI inside the window lies in a bucket of its cover, so the
+  // answer is filtered from those buckets alone, in either strategy.
+  broadcast::BucketRetrieval cover_buckets;
+  AppendBucketsForCover(system.index(), cover,
+                        WindowRetrieval::kPartitionedRanges,
+                        &cover_buckets.intervals);
+  std::vector<int64_t> ids;
+  cover_buckets.AppendIds(&ids);
+  const std::vector<spatial::Poi> received = system.CollectPois(ids);
   kernels::SlabScratch scratch;
   scratch.slab.Assign(received.data(), received.size());
   uint32_t* idx = scratch.IdxFor(received.size());

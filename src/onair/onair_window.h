@@ -34,7 +34,7 @@ struct OnAirWindowResult {
   /// Broadcast cost of the retrieval.
   broadcast::AccessStats stats;
   /// Buckets downloaded.
-  std::vector<int64_t> buckets;
+  broadcast::BucketRetrieval retrieval;
 };
 
 /// Executes an on-air window query for `window` issued at slot `now`.
@@ -43,12 +43,19 @@ OnAirWindowResult OnAirWindow(const broadcast::BroadcastSystem& system,
                               WindowRetrieval retrieval =
                                   WindowRetrieval::kSingleSpan);
 
-/// The bucket set the chosen retrieval strategy downloads for `window`.
-/// Exposed for the sharing-based window query, which applies it to the
-/// residual windows w'.
-std::vector<int64_t> BucketsForWindow(const broadcast::BroadcastSystem& system,
-                                      const geom::Rect& window,
-                                      WindowRetrieval retrieval);
+/// The buckets the chosen retrieval strategy downloads for `window`.
+broadcast::BucketRetrieval BucketsForWindow(
+    const broadcast::BroadcastSystem& system, const geom::Rect& window,
+    WindowRetrieval retrieval);
+
+/// Appends to `*out` what the chosen strategy downloads for a region whose
+/// Hilbert cover is `cover`: the one bucket interval spanning the cover, or
+/// the intervals of the cover's own buckets (ascending and disjoint among
+/// themselves). Allocation-free once `*out` has the capacity.
+void AppendBucketsForCover(const broadcast::AirIndex& index,
+                           const std::vector<hilbert::IndexRange>& cover,
+                           WindowRetrieval retrieval,
+                           std::vector<broadcast::BucketInterval>* out);
 
 }  // namespace lbsq::onair
 

@@ -84,6 +84,10 @@ const char* SimConfig::FirstViolation() const {
   // churn would additionally need history-retained sharded epochs.
   LBSQ_RULE(shards == 1 || !fault.enabled());
   LBSQ_RULE(shards == 1 || !(updates.enabled() && check_cache_invariant));
+  // The literal collective-MBR policy inflates verified regions by design,
+  // so neither the cache invariant nor the answer oracle holds under it.
+  LBSQ_RULE(cache_policy == core::CachePolicy::kSoundShrink ||
+            !(check_answers || check_cache_invariant));
   if (const char* violation = fault.FirstViolation()) return violation;
   return updates.FirstViolation();
 }

@@ -139,7 +139,8 @@ struct SimConfig {
   /// Capacity-overflow policy for host caches. kSoundShrink (default) keeps
   /// answers exact; kCollectiveMbr reproduces the paper's literal §4.1
   /// policy, which inflates verified regions at the cost of wrong answers
-  /// (the simulator counts them in SimMetrics::answer_errors).
+  /// (the simulator counts them in SimMetrics::answer_errors) and so cannot
+  /// be combined with check_answers or check_cache_invariant.
   core::CachePolicy cache_policy = core::CachePolicy::kSoundShrink;
 
   /// Broadcast channel organization.

@@ -106,10 +106,10 @@ class ParallelSimulator {
     std::unique_ptr<MobilityModel> mobility;
     std::vector<geom::Point> positions;
     spatial::GridIndex peer_index;
-    /// Per-thread query scratch + broadcast-cycle cover memo; reused by
-    /// every event this worker executes. `workspace` serves the
-    /// single-channel deployment, `sharded_workspace` the multi-shard one
-    /// (only the configured deployment's scratch ever grows).
+    /// Per-thread query scratch; reused by every event this worker
+    /// executes. `workspace` serves the single-channel deployment,
+    /// `sharded_workspace` the multi-shard one (only the configured
+    /// deployment's scratch ever grows).
     core::QueryWorkspace workspace;
     core::ShardedQueryWorkspace sharded_workspace;
 

@@ -67,8 +67,8 @@ struct WindowQueryResult {
 /// streams (peer corruption and channel schedule), making fault outcomes
 /// independent of thread count. Thread-safe: reads only immutable state
 /// plus the caller's own `workspace` — pass one per worker thread to reuse
-/// query scratch and the broadcast-cycle cover memo across events (null
-/// falls back to transient buffers; results are bit-identical either way).
+/// query scratch across events (null falls back to transient buffers;
+/// results are bit-identical either way).
 KnnQueryResult ExecuteKnnQuery(const SimConfig& config,
                                const core::QueryEngine& engine,
                                geom::Point pos, int k, int64_t slot,

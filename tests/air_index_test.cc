@@ -4,8 +4,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "common/rng.h"
+#include "hilbert/partition.h"
+#include "kernels/dispatch.h"
+#include "kernels/kernels.h"
 #include "spatial/generators.h"
 #include "spatial/poi.h"
 
@@ -76,6 +81,57 @@ TEST(AirIndexTest, KthDistanceUpperBoundInsufficientData) {
   EXPECT_TRUE(std::isfinite(index.KthDistanceUpperBound({1.0, 1.0}, 3)));
 }
 
+// The ids of an interval list, ascending.
+std::vector<int64_t> Ids(const std::vector<BucketInterval>& runs) {
+  std::vector<int64_t> ids;
+  BucketRetrieval{runs, {}}.AppendIds(&ids);
+  return ids;
+}
+
+std::vector<int64_t> Ids(BucketInterval run) {
+  return run.size() > 0 ? Ids(std::vector<BucketInterval>{run})
+                        : std::vector<int64_t>{};
+}
+
+// Reference lookups: a linear scan over every bucket's curve range.
+std::vector<int64_t> ScanSpan(const AirIndex& index, uint64_t lo,
+                              uint64_t hi) {
+  std::vector<int64_t> out;
+  const std::vector<hilbert::IndexRange>& ranges = index.bucket_ranges();
+  for (size_t b = 0; b < ranges.size(); ++b) {
+    if (ranges[b].lo <= hi && ranges[b].hi >= lo) {
+      out.push_back(static_cast<int64_t>(b));
+    }
+  }
+  return out;
+}
+
+std::vector<int64_t> ScanRanges(
+    const AirIndex& index, const std::vector<hilbert::IndexRange>& cover) {
+  std::vector<int64_t> out;
+  const std::vector<hilbert::IndexRange>& ranges = index.bucket_ranges();
+  for (size_t b = 0; b < ranges.size(); ++b) {
+    for (const hilbert::IndexRange& r : cover) {
+      if (ranges[b].lo <= r.hi && ranges[b].hi >= r.lo) {
+        out.push_back(static_cast<int64_t>(b));
+        break;
+      }
+    }
+  }
+  return out;
+}
+
+// Reference k-th bound: every entry's center distance, then the selection.
+double ScanKthBound(const AirIndex& index, geom::Point q, int k) {
+  const size_t n = index.entries().size();
+  if (static_cast<int>(n) < k) return std::numeric_limits<double>::infinity();
+  std::vector<double> d(n);
+  kernels::DistanceBatch(index.center_xs().data(), index.center_ys().data(),
+                         n, q.x, q.y, d.data());
+  std::nth_element(d.begin(), d.begin() + (k - 1), d.end());
+  return d[static_cast<size_t>(k - 1)] + index.half_cell_diagonal();
+}
+
 TEST(AirIndexTest, BucketsForSpanFindsAllContainingPois) {
   Fixture f(250, 6);
   AirIndex index(f.buckets, f.grid, 16);
@@ -85,7 +141,7 @@ TEST(AirIndexTest, BucketsForSpanFindsAllContainingPois) {
     const uint64_t b = rng.NextBelow(f.grid.num_cells());
     const uint64_t lo = std::min(a, b);
     const uint64_t hi = std::max(a, b);
-    const auto got = index.BucketsForSpan(lo, hi);
+    const std::vector<int64_t> got = Ids(index.BucketsForSpan(lo, hi));
     // Every POI whose Hilbert value is in the span must live in a returned
     // bucket.
     for (const DataBucket& bucket : f.buckets) {
@@ -109,8 +165,10 @@ TEST(AirIndexTest, BucketsForRangesSubsetOfSpan) {
   AirIndex index(f.buckets, f.grid, 16);
   const std::vector<hilbert::IndexRange> ranges = {
       {10, 20}, {100, 150}, {800, 810}};
-  const auto by_ranges = index.BucketsForRanges(ranges);
-  const auto by_span = index.BucketsForSpan(10, 810);
+  std::vector<BucketInterval> runs;
+  index.BucketsForRanges(ranges, &runs);
+  const std::vector<int64_t> by_ranges = Ids(runs);
+  const std::vector<int64_t> by_span = Ids(index.BucketsForSpan(10, 810));
   for (int64_t id : by_ranges) {
     EXPECT_TRUE(std::binary_search(by_span.begin(), by_span.end(), id));
   }
@@ -122,9 +180,94 @@ TEST(AirIndexTest, BucketsForRangesNoDuplicates) {
   AirIndex index(f.buckets, f.grid, 16);
   // Overlapping ranges must not duplicate buckets.
   const std::vector<hilbert::IndexRange> ranges = {{0, 500}, {200, 900}};
-  const auto got = index.BucketsForRanges(ranges);
+  std::vector<BucketInterval> runs;
+  index.BucketsForRanges(ranges, &runs);
+  for (size_t i = 1; i < runs.size(); ++i) {
+    EXPECT_GT(runs[i].begin, runs[i - 1].end);
+  }
+  const std::vector<int64_t> got = Ids(runs);
   for (size_t i = 1; i < got.size(); ++i) EXPECT_GT(got[i], got[i - 1]);
 }
 
+TEST(AirIndexTest, BinarySearchLookupsMatchLinearScans) {
+  // Uniform and heavily clustered data (many POIs per cell, so neighboring
+  // buckets share curve values), small and large buckets.
+  for (const int capacity : {1, 3, 8}) {
+    for (const bool clustered : {false, true}) {
+      Rng rng(static_cast<uint64_t>(40 + capacity));
+      const std::vector<spatial::Poi> pois =
+          clustered ? spatial::GenerateClusteredPois(&rng, kWorld, 6, 40.0, 0.7)
+                    : spatial::GenerateUniformPois(&rng, kWorld, 300);
+      hilbert::HilbertGrid grid(kWorld, 5);
+      const std::vector<DataBucket> buckets =
+          BuildBuckets(pois, grid, capacity);
+      AirIndex index(buckets, grid, 16);
+      for (int trial = 0; trial < 200; ++trial) {
+        const uint64_t a = rng.NextBelow(grid.num_cells());
+        const uint64_t b = rng.NextBelow(grid.num_cells());
+        const uint64_t lo = std::min(a, b);
+        const uint64_t hi = trial % 4 == 0 ? lo : std::max(a, b);
+        ASSERT_EQ(Ids(index.BucketsForSpan(lo, hi)), ScanSpan(index, lo, hi))
+            << "[" << lo << ", " << hi << "]";
+        const geom::Point c{rng.Uniform(-4.0, 36.0), rng.Uniform(-4.0, 36.0)};
+        const geom::Rect rect{c.x, c.y, c.x + rng.Uniform(0.1, 12.0),
+                              c.y + rng.Uniform(0.1, 12.0)};
+        const std::vector<hilbert::IndexRange> cover = grid.CoverRect(rect);
+        std::vector<BucketInterval> runs;
+        index.BucketsForRanges(cover, &runs);
+        ASSERT_EQ(Ids(runs), ScanRanges(index, cover));
+        for (size_t i = 1; i < runs.size(); ++i) {
+          EXPECT_GT(runs[i].begin, runs[i - 1].end);
+        }
+      }
+    }
+  }
+}
+
+TEST(AirIndexTest, KthBoundMatchesFullScanOnMetroShards) {
+  // Eight occupancy-balanced shards of a metro mix (clustered downtowns over
+  // a uniform background), each indexed over the whole world as the sharded
+  // engine builds them: most query points lie far from most shards' POIs.
+  const geom::Rect world{0.0, 0.0, 40.0, 40.0};
+  Rng rng(7);
+  const std::vector<spatial::Poi> pois =
+      spatial::GenerateMetroPois(&rng, world, 12000, 0.6, 30, 0.5);
+  hilbert::HilbertGrid grid(world, 9);
+  std::vector<geom::Point> positions;
+  for (const spatial::Poi& p : pois) positions.push_back(p.pos);
+  const hilbert::ShardMap map =
+      hilbert::PartitionByOccupancy(grid, positions, 8);
+  std::vector<std::vector<spatial::Poi>> shard_pois(8);
+  for (const spatial::Poi& p : pois) {
+    shard_pois[static_cast<size_t>(map.ShardOfIndex(grid.IndexOf(p.pos)))]
+        .push_back(p);
+  }
+
+  const kernels::SimdTier before = kernels::ActiveTier();
+  for (const kernels::SimdTier tier :
+       {kernels::SimdTier::kScalar, kernels::MaxSupportedTier()}) {
+    ASSERT_TRUE(kernels::SetActiveTier(tier));
+    for (const std::vector<spatial::Poi>& shard : shard_pois) {
+      ASSERT_FALSE(shard.empty());
+      const std::vector<DataBucket> buckets = BuildBuckets(shard, grid, 8);
+      AirIndex index(buckets, grid, 64);
+      const int n = static_cast<int>(shard.size());
+      KthBoundScratch scratch;
+      for (int trial = 0; trial < 40; ++trial) {
+        // Inside the world, and up to a world side outside it.
+        const double lo = trial % 4 == 3 ? -40.0 : 0.0;
+        const double hi = trial % 4 == 3 ? 80.0 : 40.0;
+        const geom::Point q{rng.Uniform(lo, hi), rng.Uniform(lo, hi)};
+        for (const int k : {1, 2, 5, 20, 150, n - 1, n, n + 1}) {
+          const double want = ScanKthBound(index, q, k);
+          EXPECT_EQ(index.KthDistanceUpperBound(q, k, &scratch), want)
+              << kernels::TierName(tier) << " k=" << k << " q=(" << q.x
+              << ", " << q.y << ")";
+        }
+      }
+    }
+  }
+  ASSERT_TRUE(kernels::SetActiveTier(before));
+}
 }  // namespace
 }  // namespace lbsq::broadcast

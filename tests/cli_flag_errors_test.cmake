@@ -44,6 +44,8 @@ expect_flag_error("${LBSQ_SIM}" 2 --update-interval-events=-3)
 expect_flag_error("${LBSQ_SIM}" 2 --shards=4 --fault-loss=0.1)
 expect_flag_error("${LBSQ_SIM}" 2 --shards=4 --check
                   --update-interval-events=8)
+expect_flag_error("${LBSQ_SIM}" 2 --world=3 --warmup=10 --duration=10
+                  --threads=4 --check --policy=collective)
 
 # lbsq_server: ServerOptions rules (flag error code 1, as for
 # --pool-pages=0).

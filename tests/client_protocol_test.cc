@@ -2,14 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "broadcast/schedule.h"
+#include "common/observability.h"
+#include "common/rng.h"
 
 namespace lbsq::broadcast {
 namespace {
 
 TEST(ClientProtocolTest, EmptyRequestStillPaysProbeAndIndex) {
   BroadcastSchedule s(50, 4, 2);
-  const AccessStats stats = RetrieveBuckets(s, 0, {});
+  const AccessStats stats = RetrieveBuckets(s, 0, std::vector<int64_t>{});
   EXPECT_EQ(stats.buckets_read, 0);
   EXPECT_EQ(stats.tuning_time, 1 + 4);
   // Latency: probe (1) + wait to index + read index. At t=0 the next index
@@ -98,6 +103,104 @@ TEST(ClientProtocolTest, IndexReadModeBucketsToRead) {
   EXPECT_EQ(IndexReadMode::FlatDirectory().BucketsToRead(s),
             s.index_buckets());
   EXPECT_EQ(IndexReadMode::TreePaths(3).BucketsToRead(s), 3);
+}
+
+// A receiver that knows nothing of the closed forms: it steps through
+// BroadcastSchedule::SlotAt one slot at a time from the query slot, probing,
+// waiting for the start of an index segment, reading it, and then taking
+// every needed data bucket as it goes by.
+AccessStats SteppingReceiver(const BroadcastSchedule& s, int64_t t,
+                             const std::vector<int64_t>& needed,
+                             int64_t index_read_buckets) {
+  AccessStats stats;
+  stats.tuning_time = 1;  // the probe of slot t
+  int64_t slot = t + 1;
+  while (true) {
+    const BroadcastSchedule::Slot on_air = s.SlotAt(slot);
+    if (on_air.kind == BroadcastSchedule::Slot::Kind::kIndex &&
+        on_air.value == 0) {
+      break;
+    }
+    ++slot;
+  }
+  for (int64_t i = 0; i < s.index_buckets(); ++i, ++slot) {
+    EXPECT_EQ(s.SlotAt(slot).kind, BroadcastSchedule::Slot::Kind::kIndex);
+  }
+  stats.tuning_time += index_read_buckets;
+  int64_t completion = slot;
+  std::vector<int64_t> pending = needed;
+  while (!pending.empty()) {
+    const BroadcastSchedule::Slot on_air = s.SlotAt(slot);
+    if (on_air.kind == BroadcastSchedule::Slot::Kind::kData) {
+      const auto it = std::find(pending.begin(), pending.end(), on_air.value);
+      if (it != pending.end()) {
+        pending.erase(it);
+        stats.tuning_time += 1;
+        stats.buckets_read += 1;
+        completion = slot + 1;
+      }
+    }
+    ++slot;
+  }
+  stats.access_latency = completion - t;
+  return stats;
+}
+
+TEST(ClientProtocolTest, ClosedFormMatchesSteppingReceiver) {
+  Rng rng(31);
+  int with_skips = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const int64_t data = static_cast<int64_t>(rng.UniformInt(1, 160));
+    const int64_t index_len = static_cast<int64_t>(rng.UniformInt(1, 7));
+    const int m = static_cast<int>(
+        rng.UniformInt(1, static_cast<int64_t>(std::min<int64_t>(data, 9))));
+    const BroadcastSchedule s(data, index_len, m);
+
+    // Ascending, disjoint intervals, and skips drawn inside them at a
+    // per-trial rate (none, some, or all of a run).
+    BucketRetrieval retrieval;
+    const double skip_rate = std::vector<double>{0.0, 0.1, 0.5, 0.9,
+                                                 1.0}[trial % 5];
+    int64_t at = static_cast<int64_t>(rng.UniformInt(0, 3));
+    while (at < data && rng.Uniform(0.0, 1.0) < 0.8) {
+      const int64_t end = std::min<int64_t>(
+          data, at + static_cast<int64_t>(rng.UniformInt(1, 20)));
+      retrieval.intervals.push_back(BucketInterval{at, end});
+      for (int64_t id = at; id < end; ++id) {
+        if (rng.Uniform(0.0, 1.0) < skip_rate) retrieval.skipped.push_back(id);
+      }
+      at = end + static_cast<int64_t>(rng.UniformInt(1, 25));
+    }
+    if (!retrieval.skipped.empty()) ++with_skips;
+    std::vector<int64_t> ids;
+    retrieval.AppendIds(&ids);
+    ASSERT_EQ(retrieval.Count(), static_cast<int64_t>(ids.size()));
+
+    const bool tree = trial % 2 == 1;
+    const IndexReadMode mode =
+        tree ? IndexReadMode::TreePaths(
+                   static_cast<int64_t>(rng.UniformInt(1, index_len)))
+             : IndexReadMode::FlatDirectory();
+    const int64_t t = static_cast<int64_t>(
+        rng.UniformInt(0, 3 * s.cycle_length()));
+
+    obs::TraceRecorder closed_trace;
+    obs::TraceRecorder per_bucket_trace;
+    const AccessStats closed =
+        RetrieveBuckets(s, t, retrieval, mode, &closed_trace);
+    const AccessStats per_bucket =
+        RetrieveBuckets(s, t, ids, mode, &per_bucket_trace);
+    const AccessStats stepped =
+        SteppingReceiver(s, t, ids, mode.BucketsToRead(s));
+    for (const AccessStats& other : {per_bucket, stepped}) {
+      EXPECT_EQ(closed.access_latency, other.access_latency)
+          << "trial " << trial;
+      EXPECT_EQ(closed.tuning_time, other.tuning_time) << "trial " << trial;
+      EXPECT_EQ(closed.buckets_read, other.buckets_read) << "trial " << trial;
+    }
+    EXPECT_EQ(closed_trace.events(), per_bucket_trace.events());
+  }
+  EXPECT_GT(with_skips, 1000);
 }
 
 }  // namespace

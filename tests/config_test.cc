@@ -130,6 +130,16 @@ TEST(ConfigTest, FirstViolationNamesTheRuleValidateAbortsOn) {
   sharded_faults.fault.channel.loss_prob = 0.1;
   EXPECT_STREQ(sharded_faults.FirstViolation(),
                "shards == 1 || !fault.enabled()");
+
+  // The literal collective policy breaks the cache invariant by design, so
+  // it runs unchecked or not at all.
+  SimConfig checked_collective;
+  checked_collective.cache_policy = core::CachePolicy::kCollectiveMbr;
+  EXPECT_EQ(checked_collective.FirstViolation(), nullptr);
+  checked_collective.check_cache_invariant = true;
+  EXPECT_STREQ(checked_collective.FirstViolation(),
+               "cache_policy == core::CachePolicy::kSoundShrink || "
+               "!(check_answers || check_cache_invariant)");
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <set>
 #include <vector>
@@ -208,6 +209,59 @@ TEST(HilbertGridTest, CoverRectExactness) {
     // Ranges are sorted and non-adjacent (maximally merged).
     for (size_t i = 1; i < ranges.size(); ++i) {
       EXPECT_GT(ranges[i].lo, ranges[i - 1].hi + 1);
+    }
+  }
+}
+
+// The reference cover: every cell of the clamped query rectangle,
+// linearized, sorted and merged into maximal ranges.
+std::vector<IndexRange> EnumeratedCover(const HilbertGrid& grid,
+                                        const geom::Rect& query) {
+  std::vector<IndexRange> out;
+  const geom::Rect q = query.Intersection(grid.world());
+  if (q.empty()) return out;
+  const CellXY lo = grid.CellOf({q.x1, q.y1});
+  const CellXY hi = grid.CellOf({q.x2, q.y2});
+  std::vector<uint64_t> indexes;
+  for (uint32_t y = lo.y; y <= hi.y; ++y) {
+    for (uint32_t x = lo.x; x <= hi.x; ++x) {
+      indexes.push_back(grid.ToIndex(CellXY{x, y}));
+    }
+  }
+  std::sort(indexes.begin(), indexes.end());
+  for (uint64_t idx : indexes) {
+    if (!out.empty() && out.back().hi + 1 == idx) {
+      out.back().hi = idx;
+    } else {
+      out.push_back(IndexRange{idx, idx});
+    }
+  }
+  return out;
+}
+
+TEST(HilbertGridTest, CoverRectMatchesEnumeratedCover) {
+  // Random rectangles inside, across and wholly outside the world (thin,
+  // square and world-sized ones), on both curves at orders 1-9.
+  const geom::Rect world{-3.0, 2.0, 13.0, 10.0};
+  Rng rng(29);
+  std::vector<IndexRange> fast;
+  for (const CurveKind curve : {CurveKind::kHilbert, CurveKind::kMorton}) {
+    for (int order = 1; order <= 9; ++order) {
+      const HilbertGrid grid(world, order, curve);
+      for (int trial = 0; trial < 150; ++trial) {
+        const geom::Point a{rng.Uniform(-8.0, 18.0), rng.Uniform(-4.0, 16.0)};
+        const double w = trial % 5 == 0 ? rng.Uniform(0.0, 0.05)
+                                        : rng.Uniform(0.0, 20.0);
+        const double h = trial % 7 == 0 ? rng.Uniform(0.0, 0.05)
+                                        : rng.Uniform(0.0, 12.0);
+        const geom::Rect query{a.x, a.y, a.x + w, a.y + h};
+        grid.CoverRect(query, &fast);
+        ASSERT_EQ(fast, EnumeratedCover(grid, query))
+            << (curve == CurveKind::kHilbert ? "hilbert" : "morton")
+            << " order " << order << " trial " << trial;
+      }
+      grid.CoverRect(world, &fast);
+      ASSERT_EQ(fast, EnumeratedCover(grid, world));
     }
   }
 }

@@ -52,8 +52,7 @@ TEST(OnAirKnnTest, StatsAreConsistent) {
   const auto result = OnAirKnn(*system, {10.0, 10.0}, 5, 7);
   EXPECT_GT(result.stats.access_latency, 0);
   EXPECT_LE(result.stats.tuning_time, result.stats.access_latency);
-  EXPECT_EQ(result.stats.buckets_read,
-            static_cast<int64_t>(result.buckets.size()));
+  EXPECT_EQ(result.stats.buckets_read, result.retrieval.Count());
 }
 
 TEST(OnAirKnnTest, SearchCircleContainsResults) {
@@ -72,7 +71,7 @@ TEST(OnAirKnnTest, LargerKDownloadsMoreBuckets) {
   auto system = MakeSystem(500);
   const auto small = OnAirKnn(*system, {10.0, 10.0}, 1, 0);
   const auto large = OnAirKnn(*system, {10.0, 10.0}, 50, 0);
-  EXPECT_LT(small.buckets.size(), large.buckets.size());
+  EXPECT_LT(small.retrieval.Count(), large.retrieval.Count());
 }
 
 TEST(OnAirKnnTest, PartitionedCircleRetrievalIsSubsetAndSufficient) {
@@ -81,13 +80,15 @@ TEST(OnAirKnnTest, PartitionedCircleRetrievalIsSubsetAndSufficient) {
   for (int trial = 0; trial < 30; ++trial) {
     const geom::Point q{rng.Uniform(2.0, 18.0), rng.Uniform(2.0, 18.0)};
     const geom::Circle circle{q, rng.Uniform(0.5, 4.0)};
-    const auto span = BucketsForCircle(*system, circle,
-                                       KnnRetrieval::kSingleSpan);
-    const auto part = BucketsForCircle(*system, circle,
-                                       KnnRetrieval::kPartitionedRanges);
-    EXPECT_LE(part.size(), span.size());
+    const auto span =
+        BucketsForWindow(*system, circle.Mbr(), WindowRetrieval::kSingleSpan);
+    const auto part = BucketsForWindow(*system, circle.Mbr(),
+                                       WindowRetrieval::kPartitionedRanges);
+    EXPECT_LE(part.Count(), span.Count());
     // Every POI inside the circle's MBR must be in a partition bucket.
-    const auto received = system->CollectPois(part);
+    std::vector<int64_t> ids;
+    part.AppendIds(&ids);
+    const auto received = system->CollectPois(ids);
     for (const auto& poi : system->pois()) {
       if (!circle.Mbr().Contains(poi.pos)) continue;
       EXPECT_TRUE(std::any_of(
@@ -123,7 +124,7 @@ TEST(OnAirWindowTest, PartitionedRangesNeverDownloadMore) {
                                        WindowRetrieval::kSingleSpan);
     const auto ranges = BucketsForWindow(*system, window,
                                          WindowRetrieval::kPartitionedRanges);
-    EXPECT_LE(ranges.size(), span.size());
+    EXPECT_LE(ranges.Count(), span.Count());
   }
 }
 
@@ -139,7 +140,8 @@ TEST(OnAirWindowTest, WholeWorldWindowReturnsAll) {
   const auto result = OnAirWindow(*system, kWorld, 0);
   EXPECT_EQ(result.pois.size(), 150u);
   // Single span over the whole world downloads the whole file.
-  EXPECT_EQ(result.buckets.size(), system->buckets().size());
+  EXPECT_EQ(result.retrieval.Count(),
+            static_cast<int64_t>(system->buckets().size()));
 }
 
 }  // namespace
