@@ -88,14 +88,31 @@ double AirIndex::KthDistanceUpperBound(geom::Point q, int k,
   }
   const size_t kth = static_cast<size_t>(k - 1);
   std::vector<double>& distances = scratch->distances;
+  const auto select_kth = [&]() {
+    std::nth_element(distances.begin(),
+                     distances.begin() + static_cast<ptrdiff_t>(kth),
+                     distances.end());
+    return distances[kth];
+  };
   // First guess: the square that holds k entries at the directory's mean
   // density, moved out to the world when q lies outside it.
   const geom::Rect& world = grid_->world();
+  const bool finite_q = std::isfinite(q.x) && std::isfinite(q.y);
   double half = world.MinDistance(q) +
                 0.5 * std::sqrt(static_cast<double>(k) * world.area() /
                                 static_cast<double>(entries_.size()));
   for (;;) {
-    grid_->CoverRect(geom::Rect::CenteredSquare(q, half), &scratch->cover);
+    const geom::Rect square = geom::Rect::CenteredSquare(q, half);
+    if (!finite_q || !std::isfinite(half) || square.ContainsRect(world)) {
+      // The cover would be the whole curve, or the square has no finite
+      // extent to grow (q or its distances are not finite): scan every
+      // entry. This also ends the loop below for any q.
+      distances.resize(entries_.size());
+      kernels::DistanceBatch(center_xs_.data(), center_ys_.data(),
+                             entries_.size(), q.x, q.y, distances.data());
+      return select_kth() + half_cell_diagonal_;
+    }
+    grid_->CoverRect(square, &scratch->cover);
     distances.clear();
     for (const hilbert::IndexRange& r : scratch->cover) {
       const auto first = std::lower_bound(
@@ -117,10 +134,7 @@ double AirIndex::KthDistanceUpperBound(geom::Point q, int k,
       half *= 2.0;
       continue;
     }
-    std::nth_element(distances.begin(),
-                     distances.begin() + static_cast<ptrdiff_t>(kth),
-                     distances.end());
-    const double d = distances[kth];
+    const double d = select_kth();
     // Every center within d of q lies in the square, inside a cell of its
     // cover (centers sit half a cell in from their cell's edges, which
     // absorbs the rounding of the square's corners): the k-th smallest

@@ -81,6 +81,8 @@ class AirIndex {
   /// k-th smallest distance among the entries in its cover is no larger
   /// than its half-side, at which point every entry that close lies in the
   /// square and the value equals a scan of the whole directory, bit for bit.
+  /// Once the square holds the world, or when q is not finite, the whole
+  /// directory is scanned, so the call ends for any q (NaN q gives NaN).
   double KthDistanceUpperBound(geom::Point q, int k) const;
 
   /// KthDistanceUpperBound using `*scratch` (cleared and refilled; capacity

@@ -8,6 +8,7 @@
 #include "fault/faulty_channel.h"
 #include "geom/circle.h"
 #include "kernels/kernels.h"
+#include "onair/onair_knn.h"
 #include "onair/onair_window.h"
 
 namespace lbsq::core {
@@ -131,12 +132,12 @@ void RunSbnn(geom::Point q, const SbnnOptions& options,
   onair::AppendBucketsForCover(index, ws.cover,
                                onair::WindowRetrieval::kSingleSpan,
                                &retrieval.intervals);
-  // Without faults the answer is assembled from the cover's buckets only:
-  // they hold every server POI inside the search MBR, and the span's other
-  // buckets hold nothing within the search radius. Any fault keeps the
-  // per-bucket path over the whole span — losses are drawn per bucket, and
-  // a corrupted peer POI can share its id with a server POI anywhere in the
-  // span.
+  // Without faults the answer is assembled from the cover's buckets only
+  // (onair::KnnFromSpan): they hold every server POI inside the search MBR,
+  // and the span's other buckets hold nothing within the search radius.
+  // Any fault keeps the per-bucket path over the whole span — losses are
+  // drawn per bucket, and a corrupted peer POI can share its id with a
+  // server POI anywhere in the span.
   const bool from_cover = !per_bucket;
   if (from_cover) {
     ws.cover_buckets.clear();
@@ -196,61 +197,18 @@ void RunSbnn(geom::Point q, const SbnnOptions& options,
                    static_cast<double>(outcome.buckets_skipped));
   }
 
-  // Answers from the server POIs in ws.known_pois plus everything the peers
-  // supplied (which covers any packets the filter skipped), canonicalized
-  // by id. CollectPois output is already sorted by id and deduplicated;
-  // the bucket scan below is not.
-  const auto answer = [&](bool sorted_by_id) {
-    if (!sorted_by_id || !outcome.nnv.candidates.empty()) {
-      for (const spatial::PoiDistance& c : outcome.nnv.candidates) {
-        ws.known_pois.push_back(c.poi);
-      }
-      std::sort(ws.known_pois.begin(), ws.known_pois.end(),
-                [](const spatial::Poi& a, const spatial::Poi& b) {
-                  return a.id < b.id;
-                });
-      ws.known_pois.erase(
-          std::unique(ws.known_pois.begin(), ws.known_pois.end()),
-          ws.known_pois.end());
-    }
-    spatial::BruteForceKnn(ws.known_pois, q, options.k, &ws.slab,
-                           &outcome.neighbors);
-  };
-  // The per-bucket answer: every downloaded bucket of the span.
-  const auto answer_from_span = [&]() {
-    ws.needed.clear();
-    retrieval.AppendIds(&ws.needed);
-    system.CollectPois(ws.needed, &ws.collect_scratch, &ws.known_pois);
-    answer(true);
-  };
+  // Answers from the server POIs received plus everything the peers
+  // supplied (which covers any packets the filter skipped).
   if (received != nullptr) {
     system.CollectPois(*received, &ws.collect_scratch, &ws.known_pois);
-    answer(true);
-  } else if (!from_cover) {
-    answer_from_span();
+    onair::KnnOverPois(q, options.k, outcome.nnv.candidates, true, &ws.slab,
+                       &ws.known_pois, &outcome.neighbors);
   } else {
-    // The server POIs inside the search MBR, from the cover's buckets the
-    // filter kept.
-    ws.known_pois.clear();
-    auto skip = retrieval.skipped.begin();
-    for (const broadcast::BucketInterval& run : ws.cover_buckets) {
-      for (int64_t id = run.begin; id < run.end; ++id) {
-        while (skip != retrieval.skipped.end() && *skip < id) ++skip;
-        if (skip != retrieval.skipped.end() && *skip == id) continue;
-        for (const spatial::Poi& poi :
-             system.buckets()[static_cast<size_t>(id)].pois) {
-          if (search_mbr.Contains(poi.pos)) ws.known_pois.push_back(poi);
-        }
-      }
-    }
-    answer(false);
-    // Exact when the k-th neighbor lies within the search radius: every
-    // span POI at most that far lies in the search MBR. Otherwise (fewer
-    // than k POIs that close in the MBR) answer from the whole span.
-    if (outcome.neighbors.size() < static_cast<size_t>(options.k) ||
-        outcome.neighbors.back().distance > radius) {
-      answer_from_span();
-    }
+    onair::KnnFromSpan(system, q, options.k, radius, retrieval,
+                       from_cover ? &ws.cover_buckets : nullptr,
+                       outcome.nnv.candidates, &ws.needed,
+                       &ws.collect_scratch, &ws.slab, &ws.known_pois,
+                       &outcome.neighbors);
   }
 
   // Every cell intersecting the search MBR is covered by a bucket that was
@@ -259,8 +217,8 @@ void RunSbnn(geom::Point q, const SbnnOptions& options,
   // the cacheable region stays empty — never cache unverified knowledge.
   if (!outcome.degraded) {
     outcome.cacheable.region = search_mbr;
-    // BruteForceKnn left ws.slab.slab holding the SoA transpose of
-    // known_pois; one window-mask pass sizes and selects the contained set.
+    // The kNN left ws.slab.slab holding the SoA transpose of known_pois;
+    // one window-mask pass sizes and selects the contained set.
     const size_t n = ws.known_pois.size();
     uint32_t* idx = ws.slab.IdxFor(n);
     const size_t contained = kernels::SelectInWindow(

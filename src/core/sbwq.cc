@@ -38,26 +38,6 @@ void MergeIntervals(std::vector<broadcast::BucketInterval>* runs) {
   runs->resize(kept);
 }
 
-// Appends the ids in both `a` and `b` (each ascending and disjoint) to
-// `*out`, ascending.
-void AppendCommonIds(const std::vector<broadcast::BucketInterval>& a,
-                     const std::vector<broadcast::BucketInterval>& b,
-                     std::vector<int64_t>* out) {
-  size_t i = 0;
-  size_t j = 0;
-  while (i < a.size() && j < b.size()) {
-    const int64_t end = std::min(a[i].end, b[j].end);
-    for (int64_t id = std::max(a[i].begin, b[j].begin); id < end; ++id) {
-      out->push_back(id);
-    }
-    if (a[i].end < b[j].end) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-}
-
 }  // namespace
 
 void RunSbwq(const geom::Rect& window, const SbwqOptions& options,
@@ -176,23 +156,8 @@ void RunSbwq(const geom::Rect& window, const SbwqOptions& options,
       trace->Span("sbwq.fallback", now, now + outcome.stats.access_latency);
     }
     if (!per_bucket) {
-      // Every retrieved POI inside the window lies in a retrieved bucket of
-      // the window's cover: filter those buckets and order the selection
-      // by id, as the bucket content merged by id would be.
-      ws.cover_buckets.clear();
-      index.BucketsForRanges(ws.window_cover, &ws.cover_buckets);
-      AppendCommonIds(ws.cover_buckets, retrieval.intervals, &ws.needed);
-      const size_t first = pool.size();
-      for (const int64_t id : ws.needed) {
-        for (const spatial::Poi& poi :
-             system.buckets()[static_cast<size_t>(id)].pois) {
-          if (window.Contains(poi.pos)) pool.push_back(poi);
-        }
-      }
-      std::sort(pool.begin() + static_cast<ptrdiff_t>(first), pool.end(),
-                [](const spatial::Poi& a, const spatial::Poi& b) {
-                  return a.id < b.id;
-                });
+      onair::AppendWindowPois(system, window, ws.window_cover,
+                              retrieval.intervals, &ws.cover_buckets, &pool);
     } else {
       // With any fault: every bucket the channel delivered.
       system.CollectPois(*received, &ws.collect_scratch, &ws.known_pois);

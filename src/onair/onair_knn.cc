@@ -1,5 +1,6 @@
 #include "onair/onair_knn.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
@@ -34,24 +35,68 @@ OnAirKnnResult OnAirKnn(const broadcast::BroadcastSystem& system,
   result.stats = broadcast::RetrieveBuckets(system.schedule(), now,
                                             result.retrieval, index_mode);
 
-  // The k nearest lie in the search circle, so in its MBR's cover: answer
-  // from the cover's buckets, and from the whole span only when those hold
-  // fewer than k POIs within the radius.
-  const auto knn_from = [&](const broadcast::BucketRetrieval& buckets) {
-    std::vector<int64_t> ids;
-    buckets.AppendIds(&ids);
-    result.neighbors = spatial::BruteForceKnn(system.CollectPois(ids), q, k);
-  };
-  broadcast::BucketRetrieval cover_buckets;
+  std::vector<broadcast::BucketInterval> cover_buckets;
   AppendBucketsForCover(system.index(), cover,
-                        WindowRetrieval::kPartitionedRanges,
-                        &cover_buckets.intervals);
-  knn_from(cover_buckets);
-  if (result.neighbors.size() < static_cast<size_t>(k) ||
-      result.neighbors.back().distance > radius) {
-    knn_from(result.retrieval);
-  }
+                        WindowRetrieval::kPartitionedRanges, &cover_buckets);
+  std::vector<int64_t> ids;
+  broadcast::CollectScratch collect;
+  kernels::SlabScratch slab;
+  std::vector<spatial::Poi> pois;
+  KnnFromSpan(system, q, k, radius, result.retrieval, &cover_buckets, {},
+              &ids, &collect, &slab, &pois, &result.neighbors);
   return result;
+}
+
+void KnnFromSpan(const broadcast::BroadcastSystem& system, geom::Point q,
+                 int k, double radius,
+                 const broadcast::BucketRetrieval& retrieval,
+                 const std::vector<broadcast::BucketInterval>* cover_buckets,
+                 std::span<const spatial::PoiDistance> extra,
+                 std::vector<int64_t>* ids, broadcast::CollectScratch* collect,
+                 kernels::SlabScratch* slab, std::vector<spatial::Poi>* pois,
+                 std::vector<spatial::PoiDistance>* neighbors) {
+  if (cover_buckets != nullptr) {
+    const geom::Rect mbr = geom::Circle{q, radius}.Mbr();
+    pois->clear();
+    auto skip = retrieval.skipped.begin();
+    for (const broadcast::BucketInterval& run : *cover_buckets) {
+      for (int64_t id = run.begin; id < run.end; ++id) {
+        while (skip != retrieval.skipped.end() && *skip < id) ++skip;
+        if (skip != retrieval.skipped.end() && *skip == id) continue;
+        for (const spatial::Poi& poi :
+             system.buckets()[static_cast<size_t>(id)].pois) {
+          if (mbr.Contains(poi.pos)) pois->push_back(poi);
+        }
+      }
+    }
+    KnnOverPois(q, k, extra, false, slab, pois, neighbors);
+    // Exact when the k-th neighbor lies within the radius: every delivered
+    // POI at most that far lies in the MBR.
+    if (neighbors->size() == static_cast<size_t>(k) &&
+        neighbors->back().distance <= radius) {
+      return;
+    }
+  }
+  ids->clear();
+  retrieval.AppendIds(ids);
+  system.CollectPois(*ids, collect, pois);
+  KnnOverPois(q, k, extra, true, slab, pois, neighbors);
+}
+
+void KnnOverPois(geom::Point q, int k,
+                 std::span<const spatial::PoiDistance> extra,
+                 bool pois_sorted_by_id, kernels::SlabScratch* slab,
+                 std::vector<spatial::Poi>* pois,
+                 std::vector<spatial::PoiDistance>* neighbors) {
+  if (!pois_sorted_by_id || !extra.empty()) {
+    for (const spatial::PoiDistance& c : extra) pois->push_back(c.poi);
+    std::sort(pois->begin(), pois->end(),
+              [](const spatial::Poi& a, const spatial::Poi& b) {
+                return a.id < b.id;
+              });
+    pois->erase(std::unique(pois->begin(), pois->end()), pois->end());
+  }
+  spatial::BruteForceKnn(*pois, q, k, slab, neighbors);
 }
 
 }  // namespace lbsq::onair

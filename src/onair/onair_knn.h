@@ -2,12 +2,14 @@
 #define LBSQ_ONAIR_ONAIR_KNN_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "broadcast/client_protocol.h"
 #include "broadcast/system.h"
 #include "geom/circle.h"
 #include "geom/point.h"
+#include "kernels/poi_slab.h"
 #include "spatial/poi.h"
 
 /// \file
@@ -36,6 +38,37 @@ struct OnAirKnnResult {
 /// Executes an on-air kNN for query point `q` issued at slot `now`.
 OnAirKnnResult OnAirKnn(const broadcast::BroadcastSystem& system,
                         geom::Point q, int k, int64_t now);
+
+/// The k nearest neighbors of `q` among `extra` and the POIs a single-span
+/// retrieval delivers (its intervals minus its skipped ids), whose search
+/// circle around q has radius `radius`. `cover_buckets`, when given, are
+/// the bucket intervals of the cover of that circle's MBR: the answer is
+/// then taken from the POIs inside the MBR
+/// held by the cover's kept buckets — every delivered POI within the radius
+/// is among them — and from every kept bucket only when that gives fewer
+/// than k neighbors or a k-th beyond the radius. Without it, every kept
+/// bucket is read. The answer is the same either way. `*pois` ends holding
+/// the POIs the answer was taken from, as KnnOverPois leaves them; `*ids`
+/// and `*collect` are scratch.
+void KnnFromSpan(const broadcast::BroadcastSystem& system, geom::Point q,
+                 int k, double radius,
+                 const broadcast::BucketRetrieval& retrieval,
+                 const std::vector<broadcast::BucketInterval>* cover_buckets,
+                 std::span<const spatial::PoiDistance> extra,
+                 std::vector<int64_t>* ids, broadcast::CollectScratch* collect,
+                 kernels::SlabScratch* slab, std::vector<spatial::Poi>* pois,
+                 std::vector<spatial::PoiDistance>* neighbors);
+
+/// The k nearest neighbors of `q` among `*pois` and `extra` (POIs a client
+/// already holds, such as peer candidates), into `*neighbors`. `*pois` ends
+/// holding both sets sorted by id without duplicates — pass
+/// `pois_sorted_by_id` when it arrives that way — and `slab->slab` its SoA
+/// transpose.
+void KnnOverPois(geom::Point q, int k,
+                 std::span<const spatial::PoiDistance> extra,
+                 bool pois_sorted_by_id, kernels::SlabScratch* slab,
+                 std::vector<spatial::Poi>* pois,
+                 std::vector<spatial::PoiDistance>* neighbors);
 
 }  // namespace lbsq::onair
 

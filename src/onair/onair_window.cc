@@ -2,9 +2,6 @@
 
 #include <algorithm>
 
-#include "kernels/kernels.h"
-#include "kernels/poi_slab.h"
-
 namespace lbsq::onair {
 
 void AppendBucketsForCover(const broadcast::AirIndex& index,
@@ -22,6 +19,40 @@ void AppendBucketsForCover(const broadcast::AirIndex& index,
   } else {
     index.BucketsForRanges(cover, out);
   }
+}
+
+void AppendWindowPois(const broadcast::BroadcastSystem& system,
+                      const geom::Rect& window,
+                      const std::vector<hilbert::IndexRange>& window_cover,
+                      const std::vector<broadcast::BucketInterval>& retrieved,
+                      std::vector<broadcast::BucketInterval>* cover_buckets,
+                      std::vector<spatial::Poi>* out) {
+  cover_buckets->clear();
+  system.index().BucketsForRanges(window_cover, cover_buckets);
+  const std::vector<broadcast::BucketInterval>& a = *cover_buckets;
+  const std::vector<broadcast::BucketInterval>& b = retrieved;
+  const size_t first = out->size();
+  // Both lists ascend and are disjoint: walk their common ids.
+  size_t i = 0;
+  size_t j = 0;
+  while (i < a.size() && j < b.size()) {
+    const int64_t end = std::min(a[i].end, b[j].end);
+    for (int64_t id = std::max(a[i].begin, b[j].begin); id < end; ++id) {
+      for (const spatial::Poi& poi :
+           system.buckets()[static_cast<size_t>(id)].pois) {
+        if (window.Contains(poi.pos)) out->push_back(poi);
+      }
+    }
+    if (a[i].end < b[j].end) {
+      ++i;
+    } else {
+      ++j;
+    }
+  }
+  std::sort(out->begin() + static_cast<ptrdiff_t>(first), out->end(),
+            [](const spatial::Poi& x, const spatial::Poi& y) {
+              return x.id < y.id;
+            });
 }
 
 broadcast::BucketRetrieval BucketsForWindow(
@@ -48,23 +79,9 @@ OnAirWindowResult OnAirWindow(const broadcast::BroadcastSystem& system,
   }
   result.stats = broadcast::RetrieveBuckets(system.schedule(), now,
                                             result.retrieval, index_mode);
-  // Every POI inside the window lies in a bucket of its cover, so the
-  // answer is filtered from those buckets alone, in either strategy.
-  broadcast::BucketRetrieval cover_buckets;
-  AppendBucketsForCover(system.index(), cover,
-                        WindowRetrieval::kPartitionedRanges,
-                        &cover_buckets.intervals);
-  std::vector<int64_t> ids;
-  cover_buckets.AppendIds(&ids);
-  const std::vector<spatial::Poi> received = system.CollectPois(ids);
-  kernels::SlabScratch scratch;
-  scratch.slab.Assign(received.data(), received.size());
-  uint32_t* idx = scratch.IdxFor(received.size());
-  const size_t m = kernels::SelectInWindow(
-      scratch.slab.xs(), scratch.slab.ys(), received.size(), window.x1,
-      window.y1, window.x2, window.y2, idx);
-  result.pois.reserve(m);
-  for (size_t j = 0; j < m; ++j) result.pois.push_back(received[idx[j]]);
+  std::vector<broadcast::BucketInterval> cover_buckets;
+  AppendWindowPois(system, window, cover, result.retrieval.intervals,
+                   &cover_buckets, &result.pois);
   return result;
 }
 

@@ -57,6 +57,18 @@ void AppendBucketsForCover(const broadcast::AirIndex& index,
                            WindowRetrieval retrieval,
                            std::vector<broadcast::BucketInterval>* out);
 
+/// Appends to `*out`, sorted by id, the POIs inside `window` that a client
+/// downloading the buckets of `retrieved` (ascending, disjoint intervals)
+/// receives. Every POI inside the window lies in a bucket of the window's
+/// cover `window_cover`, so only the retrieved buckets of that cover are
+/// read. `*cover_buckets` is scratch (cleared and refilled).
+void AppendWindowPois(const broadcast::BroadcastSystem& system,
+                      const geom::Rect& window,
+                      const std::vector<hilbert::IndexRange>& window_cover,
+                      const std::vector<broadcast::BucketInterval>& retrieved,
+                      std::vector<broadcast::BucketInterval>* cover_buckets,
+                      std::vector<spatial::Poi>* out);
+
 }  // namespace lbsq::onair
 
 #endif  // LBSQ_ONAIR_ONAIR_WINDOW_H_

@@ -1,6 +1,7 @@
 #include "server/protocol.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 
 #include "broadcast/wire.h"
@@ -28,6 +29,14 @@ geom::Rect GetRect(broadcast::ByteReader* reader) {
   rect.x2 = reader->GetDouble();
   rect.y2 = reader->GetDouble();
   return rect;
+}
+
+/// True when every coordinate of `rect` is finite: positions and windows
+/// come from outside the program, and the engine's geometry assumes finite
+/// coordinates.
+bool Finite(const geom::Rect& rect) {
+  return std::isfinite(rect.x1) && std::isfinite(rect.y1) &&
+         std::isfinite(rect.x2) && std::isfinite(rect.y2);
 }
 
 /// True when the reader consumed the whole payload without error — every
@@ -197,12 +206,15 @@ bool DecodeQueryCall(std::span<const uint8_t> payload, QueryCall* out) {
     out->position.y = reader.GetDouble();
     const uint64_t k = reader.GetVarint();
     if (k > INT32_MAX) return false;
+    if (!std::isfinite(out->position.x) || !std::isfinite(out->position.y)) {
+      return false;
+    }
     out->k = static_cast<int>(k);
     out->window = geom::Rect();
   } else {
     out->kind = core::QueryKind::kWindow;
     out->window = GetRect(&reader);
-    if (out->window.empty()) return false;
+    if (out->window.empty() || !Finite(out->window)) return false;
     out->position = geom::Point();
     out->k = 0;
   }

@@ -224,6 +224,33 @@ TEST(AirIndexTest, BinarySearchLookupsMatchLinearScans) {
   }
 }
 
+TEST(AirIndexTest, KthBoundEndsForNonFiniteQuery) {
+  // A query position from outside the program may be NaN, infinite or so
+  // far out that its distances overflow: the bound still ends, with the
+  // value of the full scan (NaN for a NaN position).
+  Fixture f(500);
+  AirIndex index(f.buckets, f.grid, 64);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  KthBoundScratch scratch;
+  for (const geom::Point q :
+       {geom::Point{nan, 1.0}, geom::Point{1.0, nan}, geom::Point{nan, nan},
+        geom::Point{-inf, 1.0}, geom::Point{inf, 1.0}, geom::Point{1.0, -inf},
+        geom::Point{1.0, inf}, geom::Point{-inf, -inf}, geom::Point{inf, nan},
+        geom::Point{-1e308, 1.0}, geom::Point{1e300, 1e300}}) {
+    for (const int k : {1, 5, 100, 499, 500}) {
+      const double want = ScanKthBound(index, q, k);
+      const double got = index.KthDistanceUpperBound(q, k, &scratch);
+      if (std::isnan(want)) {
+        EXPECT_TRUE(std::isnan(got)) << "k=" << k;
+      } else {
+        EXPECT_EQ(got, want) << "k=" << k << " q=(" << q.x << ", " << q.y
+                             << ")";
+      }
+    }
+  }
+}
+
 TEST(AirIndexTest, KthBoundMatchesFullScanOnMetroShards) {
   // Eight occupancy-balanced shards of a metro mix (clustered downtowns over
   // a uniform background), each indexed over the whole world as the sharded

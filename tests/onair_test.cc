@@ -3,10 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "broadcast/system.h"
 #include "common/rng.h"
+#include "geom/circle.h"
 #include "spatial/generators.h"
 
 namespace lbsq::onair {
@@ -95,6 +98,97 @@ TEST(OnAirKnnTest, PartitionedCircleRetrievalIsSubsetAndSufficient) {
           received.begin(), received.end(),
           [&poi](const spatial::Poi& p) { return p.id == poi.id; }));
     }
+  }
+}
+
+TEST(OnAirKnnTest, KnnFromSpanCoverMatchesEveryKeptBucket) {
+  // The cover rule must answer as a read of every kept bucket of the span
+  // does, for any radius (too small ones send it to the whole span), with
+  // skipped buckets and with extra POIs that repeat server ids or are new.
+  auto system = MakeSystem(400);
+  Rng rng(8);
+  for (int trial = 0; trial < 200; ++trial) {
+    const geom::Point q{rng.Uniform(-2.0, 22.0), rng.Uniform(-2.0, 22.0)};
+    const int k = static_cast<int>(rng.UniformInt(1, 25));
+    const double radius = rng.Uniform(0.2, 6.0);
+    const geom::Rect mbr = geom::Circle{q, radius}.Mbr();
+    const std::vector<hilbert::IndexRange> cover = system->grid().CoverRect(mbr);
+    broadcast::BucketRetrieval retrieval;
+    AppendBucketsForCover(system->index(), cover, WindowRetrieval::kSingleSpan,
+                          &retrieval.intervals);
+    std::vector<int64_t> span_ids;
+    retrieval.AppendIds(&span_ids);
+    for (const int64_t id : span_ids) {
+      if (rng.Uniform(0.0, 1.0) < 0.15) retrieval.skipped.push_back(id);
+    }
+    std::vector<spatial::PoiDistance> extra;
+    for (int e = 0; e < static_cast<int>(rng.UniformInt(0, 6)); ++e) {
+      spatial::Poi poi;
+      if (e % 2 == 0) {
+        poi = system->pois()[static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(system->pois().size()) - 1))];
+      } else {
+        poi.id = 100000 + e;
+        poi.pos = {rng.Uniform(0.0, 20.0), rng.Uniform(0.0, 20.0)};
+      }
+      extra.push_back(spatial::PoiDistance{poi, geom::Distance(q, poi.pos)});
+    }
+    std::vector<broadcast::BucketInterval> cover_buckets;
+    AppendBucketsForCover(system->index(), cover,
+                          WindowRetrieval::kPartitionedRanges, &cover_buckets);
+
+    std::vector<int64_t> ids;
+    broadcast::CollectScratch collect;
+    kernels::SlabScratch slab;
+    std::vector<spatial::Poi> fast_pois;
+    std::vector<spatial::Poi> all_pois;
+    std::vector<spatial::PoiDistance> fast;
+    std::vector<spatial::PoiDistance> all;
+    KnnFromSpan(*system, q, k, radius, retrieval, &cover_buckets, extra, &ids,
+                &collect, &slab, &fast_pois, &fast);
+    KnnFromSpan(*system, q, k, radius, retrieval, nullptr, extra, &ids,
+                &collect, &slab, &all_pois, &all);
+    ASSERT_EQ(fast.size(), all.size()) << "trial " << trial;
+    for (size_t i = 0; i < all.size(); ++i) {
+      EXPECT_EQ(fast[i].poi.id, all[i].poi.id) << "trial " << trial;
+      EXPECT_EQ(fast[i].distance, all[i].distance) << "trial " << trial;
+    }
+    // Both leave the same POIs inside the MBR, in id order.
+    const auto in_mbr = [&mbr](const std::vector<spatial::Poi>& pois) {
+      std::vector<spatial::Poi> out;
+      for (const spatial::Poi& p : pois) {
+        if (mbr.Contains(p.pos)) out.push_back(p);
+      }
+      return out;
+    };
+    EXPECT_EQ(in_mbr(fast_pois), in_mbr(all_pois)) << "trial " << trial;
+  }
+}
+
+TEST(OnAirWindowTest, WindowPoisMatchEveryRetrievedBucket) {
+  // A retrieval of part of the window (as for a residual window) gives the
+  // window POIs of the retrieved buckets, whichever buckets those are.
+  auto system = MakeSystem(400);
+  Rng rng(9);
+  for (int trial = 0; trial < 100; ++trial) {
+    const geom::Point a{rng.Uniform(0.0, 16.0), rng.Uniform(0.0, 16.0)};
+    const geom::Rect window{a.x, a.y, a.x + rng.Uniform(0.5, 4.0),
+                            a.y + rng.Uniform(0.5, 4.0)};
+    const geom::Rect part{window.x1, window.y1,
+                          window.x1 + 0.5 * window.width(), window.y2};
+    const auto retrieved =
+        BucketsForWindow(*system, trial % 2 == 0 ? part : window,
+                         trial % 4 < 2 ? WindowRetrieval::kSingleSpan
+                                       : WindowRetrieval::kPartitionedRanges);
+    std::vector<int64_t> ids;
+    retrieved.AppendIds(&ids);
+    const auto want =
+        spatial::BruteForceWindow(system->CollectPois(ids), window);
+    std::vector<broadcast::BucketInterval> scratch;
+    std::vector<spatial::Poi> got;
+    AppendWindowPois(*system, window, system->grid().CoverRect(window),
+                     retrieved.intervals, &scratch, &got);
+    EXPECT_EQ(got, want) << "trial " << trial;
   }
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -264,6 +265,30 @@ TEST(ProtocolTest, DecodersRejectTruncationAndTrailingBytes) {
   std::vector<uint8_t> padded = good;
   padded.push_back(0);
   EXPECT_FALSE(DecodeQueryCall(padded, &out));
+}
+
+TEST(ProtocolTest, QueryCallRejectsNonFiniteCoordinates) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  QueryCall out;
+  for (const geom::Point bad :
+       {geom::Point{nan, 1.0}, geom::Point{1.0, nan}, geom::Point{-inf, 1.0},
+        geom::Point{1.0, inf}}) {
+    QueryCall knn;
+    knn.kind = core::QueryKind::kKnn;
+    knn.position = bad;
+    knn.k = 3;
+    EXPECT_FALSE(DecodeQueryCall(EncodeQueryCall(knn), &out))
+        << bad.x << ", " << bad.y;
+  }
+  for (const geom::Rect bad :
+       {geom::Rect{nan, 1.0, 2.0, 2.0}, geom::Rect{1.0, 1.0, 2.0, nan},
+        geom::Rect{-inf, 1.0, 2.0, 2.0}, geom::Rect{1.0, 1.0, 2.0, inf}}) {
+    QueryCall window;
+    window.kind = core::QueryKind::kWindow;
+    window.window = bad;
+    EXPECT_FALSE(DecodeQueryCall(EncodeQueryCall(window), &out));
+  }
 }
 
 TEST(ProtocolTest, DecodersSurviveGarbage) {

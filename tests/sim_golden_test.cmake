@@ -1,10 +1,9 @@
 # Runs lbsq_sim on configurations the benchmark does not exercise and
 # compares its stdout with golden files. Every line is pinned except the
-# wall-time and engine lines, which depend on the host and the thread count
-# (the parallel engine's output is identical at every thread count > 1).
+# wall-time and engine lines, which depend on the host and the thread count.
 # The goldens hold answers, slot costs and digests, so any difference is a
 # behavior change; regenerate a golden only for an intended one, with the
-# command below.
+# command below (the same flags, --threads=2 included, as expect_golden).
 #
 #   cmake -DLBSQ_SIM=build/tools/lbsq_sim -DGOLDEN_DIR=tests/golden \
 #         -P tests/sim_golden_test.cmake
@@ -12,7 +11,7 @@
 # Regenerating one golden:
 #
 #   build/tools/lbsq_sim --no-approximate --warmup=10 --duration=10 \
-#       --threads=4 <flags> | grep -v '^wall time\|^engine' \
+#       --threads=2 <flags> | grep -v '^wall time\|^engine' \
 #       > tests/golden/<name>.txt
 
 if(NOT EXISTS "${LBSQ_SIM}")
