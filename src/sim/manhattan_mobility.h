@@ -34,6 +34,7 @@ class ManhattanGridModel : public MobilityModel {
   }
   geom::Point Position(int64_t host, double t) override;
   geom::Point Heading(int64_t host) const override;
+  double MaxSpeed() const override { return speed_max_; }
   std::unique_ptr<MobilityModel> Clone() const override {
     return std::make_unique<ManhattanGridModel>(*this);
   }

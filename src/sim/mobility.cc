@@ -6,6 +6,10 @@
 
 namespace lbsq::sim {
 
+double MaxTravel(const MobilityModel& model, double minutes) {
+  return model.MaxSpeed() * minutes * (1.0 + 1e-9) + 1e-9;
+}
+
 RandomWaypointModel::RandomWaypointModel(const geom::Rect& world,
                                          int64_t num_hosts, double speed_min,
                                          double speed_max, uint64_t seed)

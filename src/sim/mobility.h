@@ -14,7 +14,9 @@
 /// model: each host repeatedly picks a uniform destination in the world and
 /// travels to it in a straight line at a uniformly drawn speed (zero pause
 /// time). Positions are closed-form along each leg, so the model is queried
-/// lazily at arbitrary (non-decreasing) times without a tick loop.
+/// lazily at arbitrary (non-decreasing) times without a tick loop, and a
+/// host's position at time t does not depend on how often, or at which
+/// earlier times, it was queried before.
 ///
 /// Every host draws from its own counter-based RNG stream
 /// (`DeriveStreamSeed(seed, host)`), so a host's trajectory depends only on
@@ -42,11 +44,23 @@ class MobilityModel {
   /// stationary). Valid for the time of the most recent Position() call.
   virtual geom::Point Heading(int64_t host) const = 0;
 
+  /// Upper bound on every host's speed (world units per minute): a host
+  /// travels at most MaxSpeed() * (t2 - t1) between times t1 <= t2, up to
+  /// the rounding of the leg interpolation (see MaxTravel).
+  virtual double MaxSpeed() const = 0;
+
   /// Independent replica producing bit-identical trajectories, reset to this
   /// model's current state. Clones share nothing; advancing one never
   /// affects another.
   virtual std::unique_ptr<MobilityModel> Clone() const = 0;
 };
+
+/// How far any host of `model` can travel in `minutes` (>= 0):
+/// MaxSpeed() * minutes plus a relative and an absolute margin (1e-9 each)
+/// that cover the rounding of the leg interpolation and of leg boundaries.
+/// Over-estimating is safe for its consumers, which filter by exact
+/// positions afterwards.
+double MaxTravel(const MobilityModel& model, double minutes);
 
 /// Random-waypoint trajectories for a fleet of hosts.
 class RandomWaypointModel : public MobilityModel {
@@ -70,6 +84,8 @@ class RandomWaypointModel : public MobilityModel {
   /// when the current leg is degenerate). Valid for the time of the most
   /// recent Position() call for this host.
   geom::Point Heading(int64_t host) const override;
+
+  double MaxSpeed() const override { return speed_max_; }
 
   std::unique_ptr<MobilityModel> Clone() const override {
     return std::make_unique<RandomWaypointModel>(*this);

@@ -12,15 +12,15 @@
 
 namespace lbsq::sim {
 
-ParallelSimulator::Worker::Worker(const MobilityModel& proto,
-                                  const geom::Rect& world, double cell_size)
-    : mobility(proto.Clone()),
-      positions(static_cast<size_t>(proto.num_hosts())),
-      peer_index(world, cell_size) {}
+ParallelSimulator::Worker::Worker(const MobilityModel& proto)
+    : mobility(proto.Clone()) {}
 
 ParallelSimulator::ParallelSimulator(const SimConfig& config)
     : config_(config),
       world_{0.0, 0.0, config.world_side_mi, config.world_side_mi},
+      peer_grid_(world_,
+                 std::max(config.params.tx_range_m * kMilesPerMeter,
+                          config.world_side_mi / 256.0)),
       tx_range_mi_(config.params.tx_range_m * kMilesPerMeter) {
   config.Validate();
 
@@ -55,11 +55,9 @@ ParallelSimulator::ParallelSimulator(const SimConfig& config)
   }
   snapshot_.resize(static_cast<size_t>(hosts));
 
-  const double cell =
-      std::max(tx_range_mi_, config.world_side_mi / 256.0);
   workers_.reserve(static_cast<size_t>(config.threads));
   for (int w = 0; w < config.threads; ++w) {
-    workers_.emplace_back(*mobility_proto_, world_, cell);
+    workers_.emplace_back(*mobility_proto_);
   }
   if (config.threads > 1) {
     pool_ = std::make_unique<ThreadPool>(config.threads);
@@ -93,24 +91,20 @@ void ParallelSimulator::CheckCacheInvariant(int64_t host) const {
 
 ParallelSimulator::EventResult ParallelSimulator::ExecuteEvent(
     Worker* worker, const QueryEvent& event, int64_t query_id) {
-  // Advance every host in the worker's private fleet replica and refresh
-  // its peer index. Each worker visits its events in time order, so its
-  // replica only ever moves forward.
-  const int64_t hosts = worker->mobility->num_hosts();
-  for (int64_t i = 0; i < hosts; ++i) {
-    worker->positions[static_cast<size_t>(i)] =
-        worker->mobility->Position(i, event.time_min);
-  }
-  worker->peer_index.ApplyMoves(worker->positions);
-
-  const geom::Point pos = worker->positions[static_cast<size_t>(event.host)];
+  // Only the querier and its candidate peers are moved to the event time,
+  // in the worker's private fleet replica. Each worker visits its events in
+  // time order, so its replica only ever moves forward.
+  MobilityModel& mobility = *worker->mobility;
+  const double now = event.time_min;
+  const geom::Point pos = mobility.Position(event.host, now);
   std::vector<core::PeerData> peers;
   EventResult result;
   result.peer_count = GatherPeers(
-      worker->peer_index, worker->positions, event.host, tx_range_mi_,
-      config_.p2p_hops,
+      peer_grid_, MaxTravel(mobility, now - grid_time_min_),
+      [&mobility, now](int64_t id) { return mobility.Position(id, now); },
+      event.host, tx_range_mi_, config_.p2p_hops,
       [this](int64_t id) { return snapshot_[static_cast<size_t>(id)]; },
-      &peers);
+      &worker->peer_search, &peers);
   if (config_.updates.enabled()) {
     // The pinned epoch is immutable while workers run (chunk boundaries
     // are clamped to update boundaries), so this decision depends only on
@@ -159,7 +153,7 @@ ParallelSimulator::EventResult ParallelSimulator::ExecuteEvent(
     if (sharded) knn.outcome.cacheable.epoch = sharded_current_->id;
     caches_[static_cast<size_t>(event.host)].Insert(
         std::move(knn.outcome.cacheable), pos, pos,
-        worker->mobility->Heading(event.host));
+        mobility.Heading(event.host));
     if (config_.check_cache_invariant) CheckCacheInvariant(event.host);
     result.knn = std::move(knn);
   } else {
@@ -175,7 +169,7 @@ ParallelSimulator::EventResult ParallelSimulator::ExecuteEvent(
     if (sharded) window.outcome.cacheable.epoch = sharded_current_->id;
     caches_[static_cast<size_t>(event.host)].Insert(
         std::move(window.outcome.cacheable), event.window.center(), pos,
-        worker->mobility->Heading(event.host));
+        mobility.Heading(event.host));
     if (config_.check_cache_invariant) CheckCacheInvariant(event.host);
     result.window = std::move(window);
   }
@@ -222,6 +216,7 @@ void ParallelSimulator::MaybeApplyUpdates(size_t event_index,
 SimMetrics ParallelSimulator::Execute(const std::vector<QueryEvent>& events) {
   SimMetrics metrics;
   const int64_t hosts = mobility_proto_->num_hosts();
+  grid_positions_.resize(static_cast<size_t>(hosts));
   const size_t epoch = static_cast<size_t>(config_.events_per_epoch);
   const int64_t workers = static_cast<int64_t>(workers_.size());
   std::vector<EventResult> results;
@@ -238,12 +233,16 @@ SimMetrics ParallelSimulator::Execute(const std::vector<QueryEvent>& events) {
       MaybeApplyUpdates(begin, events[begin].time_min, &metrics);
     }
 
-    // Epoch barrier: freeze every host's shareable data. Workers read the
-    // snapshot lock-free for the rest of the epoch.
+    // Chunk barrier: index every host at the chunk's first event time.
+    // Workers read the grid — like the cache snapshot — lock-free for the
+    // rest of the chunk. Rebuild, not ApplyMoves: over one chunk a large
+    // share of the fleet changes cell.
+    grid_time_min_ = events[begin].time_min;
     for (int64_t h = 0; h < hosts; ++h) {
-      snapshot_[static_cast<size_t>(h)] =
-          caches_[static_cast<size_t>(h)].Share();
+      grid_positions_[static_cast<size_t>(h)] =
+          mobility_proto_->Position(h, grid_time_min_);
     }
+    peer_grid_.Rebuild(grid_positions_);
 
     results.assign(end - begin, EventResult{});
     const auto run_worker = [&](int w) {
@@ -261,6 +260,13 @@ SimMetrics ParallelSimulator::Execute(const std::vector<QueryEvent>& events) {
       pool_->RunOnAll(run_worker);
     } else {
       run_worker(0);
+    }
+
+    // Only the chunk's queriers wrote their caches: re-share just those,
+    // so the snapshot again equals every cache's shareable data.
+    for (size_t i = begin; i < end; ++i) {
+      const size_t host = static_cast<size_t>(events[i].host);
+      snapshot_[host] = caches_[host].Share();
     }
 
     // Fold per-event results in global event order on this thread. Every
@@ -302,9 +308,11 @@ SimMetrics ParallelSimulator::Replay(const std::vector<QueryEvent>& events) {
     LBSQ_CHECK((config_.shards > 1 ? sharded_world_->latest_epoch()
                                    : versioner_->latest_epoch()) == 0);
   }
-  for (const QueryEvent& event : events) {
-    LBSQ_CHECK(event.host >= 0 &&
-               event.host < mobility_proto_->num_hosts());
+  for (size_t i = 0; i < events.size(); ++i) {
+    LBSQ_CHECK(events[i].host >= 0 &&
+               events[i].host < mobility_proto_->num_hosts());
+    // A chunk's travel bound runs forward from its first event.
+    LBSQ_CHECK(i == 0 || events[i].time_min >= events[i - 1].time_min);
   }
   return Execute(events);
 }

@@ -25,20 +25,24 @@
 /// \file
 /// The parallel multi-client simulation engine. The sequential Simulator
 /// executes one query event at a time against the live caches of every
-/// host; this engine processes events in *epochs* of
+/// host; this engine processes events in *chunks* of
 /// `SimConfig::events_per_epoch` consecutive events:
 ///
-///  1. At the epoch barrier, every host's shareable cache content is
-///     snapshotted. The snapshot — like the broadcast schedule and air
-///     index — is immutable for the whole epoch, so workers read it
-///     lock-free.
+///  1. At the chunk barrier, one peer grid indexes every host at the
+///     chunk's first event time. The grid, the cache snapshot, the
+///     broadcast schedule and the air index are immutable for the whole
+///     chunk, so workers read them lock-free.
 ///  2. Events are sharded across workers by querying host
 ///     (`host % threads`); each worker executes its events in global event
-///     order against the snapshot, writing only (a) the querying host's own
-///     cache — which it exclusively owns — and (b) the event's private
-///     result slot.
-///  3. After the join barrier, per-event results are folded into the run's
-///     `SimMetrics` in event order on one thread.
+///     order, writing only (a) the querying host's own cache — which it
+///     exclusively owns — and (b) the event's private result slot. An event
+///     moves only the querier and its candidate peers to the event time: a
+///     host travels at most `MaxTravel` since the grid was built, so the
+///     grid queried with that slack, filtered by exact current positions,
+///     yields the peers — and their order — of a grid rebuilt at the event.
+///  3. After the join barrier, the snapshot re-shares the caches of the
+///     chunk's queriers (no other cache changed), and per-event results are
+///     folded into the run's `SimMetrics` in event order on one thread.
 ///
 /// Determinism: every random draw comes from a counter-based stream keyed
 /// by host or event (never from a shared generator), each host's cache
@@ -72,7 +76,8 @@ class ParallelSimulator {
   SimMetrics Run();
 
   /// Executes a recorded workload (same trace format as the sequential
-  /// engine; traces are interchangeable between the two).
+  /// engine; traces are interchangeable between the two). Events must be
+  /// in time order, as recorded.
   SimMetrics Replay(const std::vector<QueryEvent>& events);
 
   /// Events recorded by the last Run() under record_trace.
@@ -99,13 +104,15 @@ class ParallelSimulator {
   }
 
  private:
-  /// Everything a worker thread owns privately: its fleet replica, its
-  /// position buffer, and its peer index. Nothing here is ever touched by
-  /// another thread.
+  /// Everything a worker thread owns privately. Nothing here is ever
+  /// touched by another thread; the peer grid it searches is shared and
+  /// read-only while the chunk runs.
   struct Worker {
+    /// Fleet replica: each event moves the querier and its candidate peers
+    /// to the event time, never the whole fleet.
     std::unique_ptr<MobilityModel> mobility;
-    std::vector<geom::Point> positions;
-    spatial::GridIndex peer_index;
+    /// Peer search scratch: visited stamps, BFS frontier, disc candidates.
+    PeerSearchScratch peer_search;
     /// Per-thread query scratch; reused by every event this worker
     /// executes. `workspace` serves the single-channel deployment,
     /// `sharded_workspace` the multi-shard one (only the configured
@@ -113,8 +120,7 @@ class ParallelSimulator {
     core::QueryWorkspace workspace;
     core::ShardedQueryWorkspace sharded_workspace;
 
-    Worker(const MobilityModel& proto, const geom::Rect& world,
-           double cell_size);
+    explicit Worker(const MobilityModel& proto);
   };
 
   /// Per-event output, written into a private slot by the owning worker and
@@ -135,8 +141,9 @@ class ParallelSimulator {
   };
 
   /// Executes one event on `worker` (runs on a worker thread). `query_id`
-  /// is the event's global workload index (the trace key). Reads the epoch
-  /// snapshot; writes only caches_[event.host] and the returned slot.
+  /// is the event's global workload index (the trace key). Reads the chunk
+  /// grid and snapshot; writes only caches_[event.host] and the returned
+  /// slot.
   EventResult ExecuteEvent(Worker* worker, const QueryEvent& event,
                            int64_t query_id);
 
@@ -171,10 +178,17 @@ class ParallelSimulator {
   std::shared_ptr<const dynamic::ShardedEpoch> sharded_current_;
   /// First id handed to inserted POIs (fixed at construction).
   int64_t base_insert_id_ = 0;
+  /// The fleet as the chunk barriers see it: it places every host at each
+  /// chunk's first event time, and seeds the workers' replicas.
   std::unique_ptr<MobilityModel> mobility_proto_;
   std::vector<core::PeerCache> caches_;
-  /// Shareable cache content of every host as of the last epoch barrier.
+  /// Shareable cache content of every host as of the last chunk barrier.
   std::vector<core::PeerData> snapshot_;
+  /// Every host at `grid_time_min_` (the current chunk's first event time),
+  /// and the peer grid built from those positions at the chunk barrier.
+  std::vector<geom::Point> grid_positions_;
+  double grid_time_min_ = 0.0;
+  spatial::GridIndex peer_grid_;
   std::vector<Worker> workers_;
   std::unique_ptr<ThreadPool> pool_;  // null when threads == 1
   std::vector<QueryEvent> trace_;

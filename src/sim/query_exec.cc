@@ -436,25 +436,36 @@ void CheckCacheCompleteness(const core::VerifiedRegion& entry,
   }
 }
 
-int GatherPeers(const spatial::GridIndex& peer_index,
-                const std::vector<geom::Point>& positions, int64_t querier,
-                double tx_range, int hops,
+int GatherPeers(const spatial::GridIndex& peer_index, double slack,
+                const std::function<geom::Point(int64_t)>& position,
+                int64_t querier, double tx_range, int hops,
                 const std::function<core::PeerData(int64_t)>& share,
-                std::vector<core::PeerData>* out) {
-  std::vector<bool> visited(positions.size(), false);
-  visited[static_cast<size_t>(querier)] = true;
-  std::vector<int64_t> frontier = {querier};
-  std::vector<int64_t> reached;
-  std::vector<int64_t> scratch;
+                PeerSearchScratch* scratch, std::vector<core::PeerData>* out) {
+  std::vector<uint32_t>& visited = scratch->visited;
+  if (visited.size() < static_cast<size_t>(peer_index.size())) {
+    visited.resize(static_cast<size_t>(peer_index.size()), 0);
+  }
+  if (++scratch->stamp == 0) {
+    // The stamp wrapped: forget every earlier query's marks.
+    std::fill(visited.begin(), visited.end(), 0);
+    scratch->stamp = 1;
+  }
+  const uint32_t stamp = scratch->stamp;
+  visited[static_cast<size_t>(querier)] = stamp;
+  std::vector<int64_t>& frontier = scratch->frontier;
+  std::vector<int64_t>& next = scratch->next;
+  std::vector<int64_t>& reached = scratch->reached;
+  frontier.assign(1, querier);
+  reached.clear();
   for (int hop = 0; hop < hops && !frontier.empty(); ++hop) {
-    std::vector<int64_t> next;
+    next.clear();
     for (int64_t node : frontier) {
-      scratch.clear();
-      peer_index.QueryDisc(positions[static_cast<size_t>(node)], tx_range,
-                           &scratch);
-      for (int64_t id : scratch) {
-        if (visited[static_cast<size_t>(id)]) continue;
-        visited[static_cast<size_t>(id)] = true;
+      scratch->found.clear();
+      peer_index.QueryDiscMoved(position(node), tx_range, slack, position,
+                                &scratch->disc, &scratch->found);
+      for (int64_t id : scratch->found) {
+        if (visited[static_cast<size_t>(id)] == stamp) continue;
+        visited[static_cast<size_t>(id)] = stamp;
         next.push_back(id);
         reached.push_back(id);
       }
@@ -466,6 +477,18 @@ int GatherPeers(const spatial::GridIndex& peer_index,
     if (!data.empty()) out->push_back(std::move(data));
   }
   return static_cast<int>(reached.size());
+}
+
+int GatherPeers(const spatial::GridIndex& peer_index,
+                const std::vector<geom::Point>& positions, int64_t querier,
+                double tx_range, int hops,
+                const std::function<core::PeerData(int64_t)>& share,
+                std::vector<core::PeerData>* out) {
+  PeerSearchScratch scratch;
+  return GatherPeers(
+      peer_index, /*slack=*/0.0,
+      [&positions](int64_t id) { return positions[static_cast<size_t>(id)]; },
+      querier, tx_range, hops, share, &scratch, out);
 }
 
 }  // namespace lbsq::sim

@@ -17,9 +17,10 @@
 
 /// \file
 /// Single-query execution and metric accounting shared by the sequential
-/// and the parallel simulation engines. Each function is a pure computation
-/// over immutable inputs (the query engine, a peer snapshot, positions),
-/// so the parallel engine can call them from worker threads without locks;
+/// and the parallel simulation engines. Each function computes over
+/// immutable inputs (the query engine, a peer snapshot, a peer grid) and the
+/// calling thread's own scratch and fleet replica, so the parallel engine
+/// can call them from worker threads without locks;
 /// the accumulate functions perform the metric updates in one fixed order,
 /// so folding per-event results in event order yields bitwise-identical
 /// `SimMetrics` — and byte-identical trace output — regardless of how
@@ -133,10 +134,36 @@ void AccumulateWindow(const WindowQueryResult& result, SimMetrics* metrics,
 void CheckCacheCompleteness(const core::VerifiedRegion& entry,
                             const std::vector<spatial::Poi>& epoch_pois);
 
+/// Buffers of GatherPeers, reused across the queries of one thread. Hosts
+/// are marked visited by stamping them with the query's stamp, so no
+/// per-query clearing is needed.
+struct PeerSearchScratch {
+  std::vector<uint32_t> visited;
+  uint32_t stamp = 0;
+  std::vector<int64_t> frontier;
+  std::vector<int64_t> next;
+  std::vector<int64_t> reached;
+  std::vector<int64_t> found;
+  spatial::GridIndex::MovedScratch disc;
+};
+
 /// Breadth-first flood over the radio connectivity graph from `querier` up
 /// to `hops` (1 = the paper's single-hop sharing), collecting the non-empty
-/// shared data of every reached host via `share`. Returns the number of
-/// reached hosts (including ones with nothing to share).
+/// shared data of every reached host via `share`. `position(id)` is host
+/// `id`'s current position; every disc is centred on its frontier host's
+/// current position. `peer_index` may be older than those positions by at
+/// most `slack` of travel per host (GridIndex::QueryDiscMoved), so each hop
+/// finds exactly the hosts, in exactly the order, of an index rebuilt from
+/// the current positions. Returns the number of reached hosts (including
+/// ones with nothing to share).
+int GatherPeers(const spatial::GridIndex& peer_index, double slack,
+                const std::function<geom::Point(int64_t)>& position,
+                int64_t querier, double tx_range, int hops,
+                const std::function<core::PeerData(int64_t)>& share,
+                PeerSearchScratch* scratch, std::vector<core::PeerData>* out);
+
+/// GatherPeers over an index built from `positions` (slack 0), with
+/// transient scratch.
 int GatherPeers(const spatial::GridIndex& peer_index,
                 const std::vector<geom::Point>& positions, int64_t querier,
                 double tx_range, int hops,

@@ -22,12 +22,24 @@ GridIndex::GridIndex(const geom::Rect& world, double cell_size)
       static_cast<size_t>(nx_) * static_cast<size_t>(ny_) + 1, 0);
 }
 
+int GridIndex::CellX(double x) const {
+  const int cx = static_cast<int>(std::floor((x - world_.x1) / cell_w_));
+  return std::clamp(cx, 0, nx_ - 1);
+}
+
+int GridIndex::CellY(double y) const {
+  const int cy = static_cast<int>(std::floor((y - world_.y1) / cell_h_));
+  return std::clamp(cy, 0, ny_ - 1);
+}
+
 int GridIndex::CellIndex(geom::Point p) const {
-  int cx = static_cast<int>(std::floor((p.x - world_.x1) / cell_w_));
-  int cy = static_cast<int>(std::floor((p.y - world_.y1) / cell_h_));
-  cx = std::clamp(cx, 0, nx_ - 1);
-  cy = std::clamp(cy, 0, ny_ - 1);
-  return cy * nx_ + cx;
+  return CellY(p.y) * nx_ + CellX(p.x);
+}
+
+GridIndex::CellRange GridIndex::RangeOfDisc(geom::Point center,
+                                            double radius) const {
+  return CellRange{CellX(center.x - radius), CellX(center.x + radius),
+                   CellY(center.y - radius), CellY(center.y + radius)};
 }
 
 void GridIndex::Rebuild(const std::vector<geom::Point>& positions) {
@@ -189,14 +201,7 @@ void GridIndex::ApplyMoves(const std::vector<geom::Point>& positions) {
 void GridIndex::QueryDisc(geom::Point center, double radius,
                           std::vector<int64_t>* out) const {
   const double r2 = radius * radius;
-  int cx_lo = static_cast<int>(std::floor((center.x - radius - world_.x1) / cell_w_));
-  int cx_hi = static_cast<int>(std::floor((center.x + radius - world_.x1) / cell_w_));
-  int cy_lo = static_cast<int>(std::floor((center.y - radius - world_.y1) / cell_h_));
-  int cy_hi = static_cast<int>(std::floor((center.y + radius - world_.y1) / cell_h_));
-  cx_lo = std::clamp(cx_lo, 0, nx_ - 1);
-  cx_hi = std::clamp(cx_hi, 0, nx_ - 1);
-  cy_lo = std::clamp(cy_lo, 0, ny_ - 1);
-  cy_hi = std::clamp(cy_hi, 0, ny_ - 1);
+  const auto [cx_lo, cx_hi, cy_lo, cy_hi] = RangeOfDisc(center, radius);
   // The cells of one row are adjacent in the CSR slab, so each row is one
   // contiguous [lo, hi) scan. First pass sizes the output exactly from the
   // bucket populations; second streams the rows through the radius kernel.
@@ -218,6 +223,54 @@ void GridIndex::QueryDisc(geom::Point center, double radius,
                                    ids_.data() + lo, hi - lo, center.x,
                                    center.y, r2, out);
   }
+}
+
+void GridIndex::QueryDiscMoved(
+    geom::Point center, double radius, double slack,
+    const std::function<geom::Point(int64_t)>& position,
+    MovedScratch* scratch, std::vector<int64_t>* out) const {
+  if (slack == 0.0) {
+    QueryDisc(center, radius, out);
+    return;
+  }
+  // Ids are packed below the current cell into one sort key.
+  constexpr int64_t kIdMask = (int64_t{1} << 32) - 1;
+  LBSQ_CHECK(size() <= kIdMask + 1);
+  // Whatever lies within `radius` now lay within `radius + slack` when
+  // this index was built, so the stale query misses none of them.
+  std::vector<int64_t>& keys = scratch->keys;
+  keys.clear();
+  QueryDisc(center, radius + slack, &keys);
+
+  // QueryDisc's cell test on the current positions. The survivors are
+  // compacted in place as (current cell << 32 | id) keys.
+  const CellRange range = RangeOfDisc(center, radius);
+  scratch->xs.clear();
+  scratch->ys.clear();
+  size_t kept = 0;
+  for (const int64_t id : keys) {
+    const geom::Point p = position(id);
+    const int cx = CellX(p.x);
+    const int cy = CellY(p.y);
+    if (cx < range.x_lo || cx > range.x_hi || cy < range.y_lo ||
+        cy > range.y_hi) {
+      continue;
+    }
+    keys[kept++] = (static_cast<int64_t>(cy * nx_ + cx) << 32) | id;
+    scratch->xs.push_back(p.x);
+    scratch->ys.push_back(p.y);
+  }
+
+  // QueryDisc's radius test, through the same kernel with the same r², so
+  // the boundary decisions are bit-identical at every SIMD tier. Sorting
+  // the keys gives QueryDisc's order: row-major cells, ascending ids.
+  const size_t begin = out->size();
+  kernels::AppendIdsWithinRadius(scratch->xs.data(), scratch->ys.data(),
+                                 keys.data(), kept, center.x, center.y,
+                                 radius * radius, out);
+  const auto first = out->begin() + static_cast<ptrdiff_t>(begin);
+  std::sort(first, out->end());
+  for (auto it = first; it != out->end(); ++it) *it &= kIdMask;
 }
 
 }  // namespace lbsq::spatial

@@ -2,6 +2,7 @@
 #define LBSQ_SPATIAL_GRID_INDEX_H_
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "geom/point.h"
@@ -9,8 +10,10 @@
 
 /// \file
 /// Uniform grid over a rectangular world for radius queries on moving
-/// points. The simulator uses it to find the single-hop peers of a querying
-/// mobile host (all hosts within the wireless transmission range).
+/// points. The simulators use it to find the single-hop peers of a querying
+/// mobile host (all hosts within the wireless transmission range), either
+/// on a grid that is current (QueryDisc) or on one built a little earlier,
+/// with a bound on how far the points have moved since (QueryDiscMoved).
 
 namespace lbsq::spatial {
 
@@ -45,6 +48,30 @@ class GridIndex {
   void QueryDisc(geom::Point center, double radius,
                  std::vector<int64_t>* out) const;
 
+  /// Caller-owned buffers of QueryDiscMoved (grow-only). One per thread:
+  /// with its own scratch, each thread may query a shared index.
+  struct MovedScratch {
+    std::vector<int64_t> keys;
+    std::vector<double> xs;
+    std::vector<double> ys;
+  };
+
+  /// QueryDisc over items that moved since this index was built: appends
+  /// to `*out` exactly the ids, in exactly the order, that QueryDisc(center,
+  /// radius, out) would append on an index rebuilt from the items' current
+  /// positions, where `position(id)` is item `id`'s current position.
+  /// Precondition: no item moved more than `slack` since the last Rebuild or
+  /// ApplyMoves. The candidates are this index's items within
+  /// `radius + slack`; one is kept only if its current position passes both
+  /// of QueryDisc's tests (its cell lies in the cell range of
+  /// `center` +- `radius`, and the radius kernel with `radius * radius`), and
+  /// the kept ids are ordered by (current cell, id). With `slack` 0 the
+  /// index is current and this is QueryDisc. Thread-safe on a shared index
+  /// under one `scratch` per thread.
+  void QueryDiscMoved(geom::Point center, double radius, double slack,
+                      const std::function<geom::Point(int64_t)>& position,
+                      MovedScratch* scratch, std::vector<int64_t>* out) const;
+
   /// Number of indexed items.
   int64_t size() const { return static_cast<int64_t>(positions_.size()); }
 
@@ -54,7 +81,19 @@ class GridIndex {
   }
 
  private:
+  /// Clamped column / row of the cell holding coordinate `x` / `y`.
+  int CellX(double x) const;
+  int CellY(double y) const;
   int CellIndex(geom::Point p) const;
+
+  /// The clamped cell columns and rows QueryDisc scans for a disc.
+  struct CellRange {
+    int x_lo;
+    int x_hi;
+    int y_lo;
+    int y_hi;
+  };
+  CellRange RangeOfDisc(geom::Point center, double radius) const;
 
   geom::Rect world_;
   int nx_;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "sim/config.h"
 #include "sim/simulator.h"
 
@@ -69,14 +71,36 @@ TEST(ParallelSimTest, ThreadCountInvarianceAcrossEpochSizes) {
 }
 
 TEST(ParallelSimTest, EpochOneMatchesSequentialEngine) {
+  // The parallel engine finds peers on a grid built at the chunk barrier,
+  // filtered by exact positions; the sequential engine on a grid current at
+  // every event. Multi-hop floods (frontier discs centred on exact
+  // positions), street-grid mobility, churn and the paper-geometry speeds
+  // each change which hosts the filter keeps and in which order.
+  std::vector<SimConfig> configs;
   for (QueryType type :
        {QueryType::kKnn, QueryType::kWindow, QueryType::kMixed}) {
-    SimConfig config = SmallConfig(type);
+    configs.push_back(SmallConfig(type));
+  }
+  for (int hops : {2, 3}) {
+    configs.push_back(SmallConfig(QueryType::kMixed));
+    configs.back().p2p_hops = hops;
+  }
+  configs.push_back(SmallConfig(QueryType::kMixed));
+  configs.back().mobility = MobilityType::kManhattanGrid;
+  configs.back().p2p_hops = 2;
+  configs.push_back(SmallConfig(QueryType::kMixed));
+  configs.back().updates.interval_events = 16;
+  configs.push_back(SmallConfig(QueryType::kWindow));
+  configs.back().paper_window_geometry = true;
+  configs.back().p2p_hops = 2;
+  for (size_t i = 0; i < configs.size(); ++i) {
+    SimConfig config = configs[i];
     config.events_per_epoch = 1;
     Simulator sequential(config);
     const SimMetrics expected = sequential.Run();
-    EXPECT_EQ(expected, RunWithThreads(config, 1));
-    EXPECT_EQ(expected, RunWithThreads(config, 4));
+    EXPECT_GT(expected.peers_per_query.mean(), 0.0) << "config " << i;
+    EXPECT_EQ(expected, RunWithThreads(config, 1)) << "config " << i;
+    EXPECT_EQ(expected, RunWithThreads(config, 4)) << "config " << i;
   }
 }
 

@@ -1,7 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <vector>
+
 #include "sim/config.h"
+#include "sim/mobility.h"
+#include "sim/query_exec.h"
 #include "sim/simulator.h"
+#include "sim/workload.h"
+#include "spatial/grid_index.h"
 
 /// Tests for the simulator extensions beyond the paper's base setup:
 /// Manhattan-grid mobility, multi-hop peer discovery, the paper-geometry
@@ -110,6 +118,70 @@ TEST(SimExtensionsTest, ApproxExactCounterBounded) {
   Simulator sim(config);
   const SimMetrics metrics = sim.Run();
   EXPECT_LE(metrics.approx_exact, metrics.solved_approximate);
+}
+
+// Multi-hop peer discovery on a grid built earlier, with the fleet's travel
+// bound as slack, must reach the same hosts in the same order as on a grid
+// rebuilt at the query time: NNV consumes the peers in that order.
+TEST(SimExtensionsTest, GatherPeersOnStaleGridMatchesRebuiltGrid) {
+  for (const MobilityType mobility :
+       {MobilityType::kRandomWaypoint, MobilityType::kManhattanGrid}) {
+    SimConfig config = SmallConfig(QueryType::kKnn);
+    config.world_side_mi = 2.0;
+    config.mobility = mobility;
+    const geom::Rect world{0.0, 0.0, 2.0, 2.0};
+    const double tx = config.params.tx_range_m * kMilesPerMeter;
+    const double cell = std::max(tx, config.world_side_mi / 256.0);
+    const std::unique_ptr<MobilityModel> fleet =
+        MakeMobilityModel(config, world);
+    const int64_t hosts = fleet->num_hosts();
+    const double built_at = 1.0;
+    std::vector<geom::Point> positions(static_cast<size_t>(hosts));
+    for (int64_t h = 0; h < hosts; ++h) {
+      positions[static_cast<size_t>(h)] = fleet->Position(h, built_at);
+    }
+    spatial::GridIndex stale(world, cell);
+    stale.Rebuild(positions);
+
+    PeerSearchScratch scratch;  // Shared by every query: stamps persist.
+    int64_t reached_total = 0;
+    for (const double dt : {0.0, 0.01, 0.1, 0.5}) {
+      const double now = built_at + dt;
+      for (int64_t h = 0; h < hosts; ++h) {
+        positions[static_cast<size_t>(h)] = fleet->Position(h, now);
+      }
+      spatial::GridIndex fresh(world, cell);
+      fresh.Rebuild(positions);
+      for (int hops = 1; hops <= 3; ++hops) {
+        for (int64_t querier = 0; querier < hosts; querier += 7) {
+          std::vector<int64_t> want_ids, got_ids;
+          std::vector<core::PeerData> want_peers, got_peers;
+          const int want = GatherPeers(
+              fresh, positions, querier, tx, hops,
+              [&want_ids](int64_t id) {
+                want_ids.push_back(id);
+                return core::PeerData{};
+              },
+              &want_peers);
+          const int got = GatherPeers(
+              stale, MaxTravel(*fleet, dt),
+              [&positions](int64_t id) {
+                return positions[static_cast<size_t>(id)];
+              },
+              querier, tx, hops,
+              [&got_ids](int64_t id) {
+                got_ids.push_back(id);
+                return core::PeerData{};
+              },
+              &scratch, &got_peers);
+          ASSERT_EQ(got, want) << "dt " << dt << " hops " << hops;
+          ASSERT_EQ(got_ids, want_ids) << "dt " << dt << " hops " << hops;
+          reached_total += got;
+        }
+      }
+    }
+    EXPECT_GT(reached_total, 0);
+  }
 }
 
 }  // namespace

@@ -53,6 +53,13 @@ expect_golden(tree_window --world=3 --index=tree --query=window)
 # Dense sharing with a large k: the lower-bound filter skips buckets in
 # about one measured broadcast fallback in seven (90 of 666).
 expect_golden(skip_heavy_knn --world=5 --tx=200 --hops=2 --csize=200 --k=20)
+# Chunked (32 events per epoch) three-hop peer gathering on street-grid
+# mobility under churn. The parallel engine finds each chunk's peers on a
+# grid built at the chunk's first event; the peers and their order must
+# equal those of a grid rebuilt at every event, which no sequential
+# reference covers at this epoch size.
+expect_golden(manhattan_hops3_churn --world=4 --mobility=manhattan --hops=3
+              --update-interval-events=16)
 
 if(failures GREATER 0)
   message(FATAL_ERROR "${failures} golden comparison(s) failed")
