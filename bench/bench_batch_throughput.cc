@@ -23,7 +23,8 @@
 // WriteStore / OpenFromStore roundtrip over the in-memory page backend
 // instead of directly from the POI list — the same baseline gate then also
 // covers the storage path (state identity guarantees the workload and
-// answers are unchanged; only construction differs).
+// answers are unchanged; only construction differs). The open reads each
+// page once, straight from the store.
 //
 // Run:  ./build/bench/bench_batch_throughput [--out=BENCH_core.json]
 //       ./build/bench/bench_batch_throughput --baseline=BENCH_core.json
@@ -279,18 +280,17 @@ BenchResult RunBench(bool via_store) {
   std::unique_ptr<core::ShardedQueryEngine> sharded = builder.BuildFromPois(
       spatial::GenerateUniformPois(&rng, world, kPoiNumber));
   storage::MemoryStorageManager page_store;
-  storage::BufferPool pool(&page_store, /*capacity=*/64);
   if (via_store) {
     // Persist into the in-memory page backend and reopen: the engine under
-    // the bench then decoded every POI, bucket, and index entry from pages
-    // through the buffer pool, so the baseline gate covers the store path.
-    // State identity makes the workload and the answers unchanged.
+    // the bench then decoded every POI, bucket, and index entry from pages,
+    // so the baseline gate covers the store path. State identity makes the
+    // workload and the answers unchanged.
     if (!builder.WriteStore(*sharded, &page_store)) {
       std::fprintf(stderr, "FATAL: WriteStore to the memory backend failed\n");
       std::exit(1);
     }
     storage::OpenStatus status = storage::OpenStatus::kOk;
-    sharded = builder.OpenFromStore(page_store, &pool, &status);
+    sharded = builder.OpenFromStore(page_store, &status);
     if (sharded == nullptr) {
       std::fprintf(stderr, "FATAL: OpenFromStore failed: %s\n",
                    storage::OpenStatusName(status));

@@ -1,6 +1,7 @@
 #include "sim/dataset.h"
 
 #include <bit>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 
@@ -80,8 +81,8 @@ DatasetFlagResult ParseDatasetFlag(const char* arg, DatasetSpec* spec,
   }
   if (ParseFlag(arg, "--world", &value)) {
     spec->world_side_mi = std::atof(value.c_str());
-    if (spec->world_side_mi <= 0.0) {
-      *error = "--world must be a positive side length in miles";
+    if (!std::isfinite(spec->world_side_mi) || spec->world_side_mi <= 0.0) {
+      *error = "--world must be a finite positive side length in miles";
       return DatasetFlagResult::kError;
     }
     return DatasetFlagResult::kParsed;
@@ -100,22 +101,27 @@ DatasetFlagResult ParseDatasetFlag(const char* arg, DatasetSpec* spec,
   }
   if (ParseFlag(arg, "--pois", &value)) {
     spec->params.poi_number = std::atof(value.c_str());
-    if (spec->params.poi_number <= 0.0) {
-      *error = "--pois must be a positive full-scale POI count";
+    if (!std::isfinite(spec->params.poi_number) ||
+        spec->params.poi_number <= 0.0) {
+      *error = "--pois must be a finite positive full-scale POI count";
       return DatasetFlagResult::kError;
     }
     return DatasetFlagResult::kParsed;
   }
   if (ParseFlag(arg, "--k", &value)) {
     spec->params.knn_k = std::atof(value.c_str());
-    if (spec->params.knn_k < 1.0) {
-      *error = "--k must be >= 1";
+    if (!std::isfinite(spec->params.knn_k) || spec->params.knn_k < 1.0) {
+      *error = "--k must be finite and >= 1";
       return DatasetFlagResult::kError;
     }
     return DatasetFlagResult::kParsed;
   }
   if (ParseFlag(arg, "--tx", &value)) {
     spec->params.tx_range_m = std::atof(value.c_str());
+    if (!std::isfinite(spec->params.tx_range_m)) {
+      *error = "--tx must be a finite range in meters";
+      return DatasetFlagResult::kError;
+    }
     return DatasetFlagResult::kParsed;
   }
   if (ParseFlag(arg, "--csize", &value)) {
@@ -124,6 +130,11 @@ DatasetFlagResult ParseDatasetFlag(const char* arg, DatasetSpec* spec,
   }
   if (ParseFlag(arg, "--window-pct", &value)) {
     spec->params.window_pct = std::atof(value.c_str());
+    if (!std::isfinite(spec->params.window_pct) ||
+        spec->params.window_pct <= 0.0) {
+      *error = "--window-pct must be a finite positive percentage";
+      return DatasetFlagResult::kError;
+    }
     return DatasetFlagResult::kParsed;
   }
   if (ParseFlag(arg, "--no-filtering", &value)) {

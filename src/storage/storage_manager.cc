@@ -1,11 +1,15 @@
 #include "storage/storage_manager.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstring>
+#include <filesystem>
+#include <utility>
 
 #include "broadcast/wire.h"
 #include "common/check.h"
-#include "storage/buffer_pool.h"
 
 namespace lbsq::storage {
 
@@ -36,16 +40,17 @@ uint64_t EncodePageId(int64_t page) {
 }
 int64_t DecodePageId(uint64_t raw) { return static_cast<int64_t>(raw) - 1; }
 
-/// Serializes (page_size, page_count, free_head, meta) — everything the
-/// header carries besides the magic/length framing.
+/// Serializes (page_size, page_count, meta) — everything the header
+/// carries besides the magic/length framing.
 std::vector<uint8_t> EncodeHeaderPayload(size_t page_size, int64_t page_count,
-                                         int64_t free_head,
                                          const StoreMeta& meta) {
   broadcast::ByteWriter writer;
   writer.PutU8(kHeaderVersion);
   writer.PutVarint(page_size);
   writer.PutVarint(static_cast<uint64_t>(page_count));
-  writer.PutVarint(EncodePageId(free_head));
+  // Format version 1 has a free-list head here; a write-once store has no
+  // free pages, so it is always "none".
+  writer.PutVarint(EncodePageId(kInvalidPage));
   writer.PutVarint(meta.dataset_digest);
   writer.PutVarint(meta.epoch);
   writer.PutVarint(meta.shards);
@@ -69,14 +74,14 @@ std::vector<uint8_t> EncodeHeaderPayload(size_t page_size, int64_t page_count,
 /// kBadVersion / kBadHeaderChecksum on a malformed payload.
 OpenStatus DecodeHeaderPayload(const uint8_t* data, size_t size,
                                size_t* page_size, int64_t* page_count,
-                               int64_t* free_head, StoreMeta* meta) {
+                               StoreMeta* meta) {
   broadcast::ByteReader reader(data, size);
   const uint8_t version = reader.GetU8();
   if (!reader.ok()) return OpenStatus::kBadHeaderChecksum;
   if (version != kHeaderVersion) return OpenStatus::kBadVersion;
   *page_size = static_cast<size_t>(reader.GetVarint());
   *page_count = static_cast<int64_t>(reader.GetVarint());
-  *free_head = DecodePageId(reader.GetVarint());
+  reader.GetVarint();  // the free-list head, unused by a write-once store
   meta->dataset_digest = reader.GetVarint();
   meta->epoch = reader.GetVarint();
   meta->shards = static_cast<uint32_t>(reader.GetVarint());
@@ -100,6 +105,23 @@ OpenStatus DecodeHeaderPayload(const uint8_t* data, size_t size,
     return OpenStatus::kBadHeaderChecksum;
   }
   return OpenStatus::kOk;
+}
+
+/// Byte offset of `page` in a store file.
+long PageOffset(int64_t page, size_t page_size) {
+  return static_cast<long>(page * static_cast<int64_t>(page_size));
+}
+
+/// Makes a rename in the directory of `path` durable.
+bool SyncParentDirectory(const std::string& path) {
+  const std::filesystem::path parent =
+      std::filesystem::path(path).parent_path();
+  const int fd =
+      ::open(parent.empty() ? "." : parent.c_str(), O_RDONLY | O_DIRECTORY);
+  if (fd < 0) return false;
+  const bool synced = ::fsync(fd) == 0;
+  ::close(fd);
+  return synced;
 }
 
 }  // namespace
@@ -138,11 +160,6 @@ MemoryStorageManager::MemoryStorageManager(size_t page_size)
 }
 
 int64_t MemoryStorageManager::AllocatePage() {
-  if (!free_pages_.empty()) {
-    const int64_t page = free_pages_.back();
-    free_pages_.pop_back();
-    return page;
-  }
   pages_.emplace_back(page_size_, uint8_t{0});
   return static_cast<int64_t>(pages_.size()) - 1;
 }
@@ -160,34 +177,36 @@ void MemoryStorageManager::ReadPage(int64_t page, uint8_t* out) const {
   std::memcpy(out, slot.data(), page_size_);
 }
 
-void MemoryStorageManager::FreePage(int64_t page) {
-  LBSQ_CHECK(page >= 1 && page < page_count());
-  free_pages_.push_back(page);
-}
-
 // ---------------------------------------------------------------------------
 // FileStorageManager
 
-FileStorageManager::FileStorageManager(std::FILE* file, size_t page_size)
-    : file_(file), page_size_(page_size) {}
+FileStorageManager::FileStorageManager(std::FILE* file, size_t page_size,
+                                       std::string path, std::string temp_path)
+    : file_(file),
+      page_size_(page_size),
+      path_(std::move(path)),
+      temp_path_(std::move(temp_path)) {}
 
 FileStorageManager::~FileStorageManager() {
   if (file_ != nullptr) std::fclose(file_);
+  if (!temp_path_.empty()) std::remove(temp_path_.c_str());
 }
 
 std::unique_ptr<FileStorageManager> FileStorageManager::Create(
     const std::string& path, size_t page_size) {
   LBSQ_CHECK_GE(page_size, kMinPageSize);
-  std::FILE* file = std::fopen(path.c_str(), "w+b");
+  // The pid keeps writers in different processes off each other's file.
+  std::string temp_path = path + "." + std::to_string(::getpid()) + ".tmp";
+  std::FILE* file = std::fopen(temp_path.c_str(), "w+b");
   if (file == nullptr) return nullptr;
   return std::unique_ptr<FileStorageManager>(
-      new FileStorageManager(file, page_size));
+      new FileStorageManager(file, page_size, path, std::move(temp_path)));
 }
 
 std::unique_ptr<FileStorageManager> FileStorageManager::Open(
     const std::string& path, OpenStatus* status) {
   *status = OpenStatus::kIoError;
-  std::FILE* file = std::fopen(path.c_str(), "r+b");
+  std::FILE* file = std::fopen(path.c_str(), "rb");
   if (file == nullptr) return nullptr;
   // The header must fit in the smallest legal page, so kMinPageSize bytes
   // are enough to parse it — before the page size is known.
@@ -219,10 +238,9 @@ std::unique_ptr<FileStorageManager> FileStorageManager::Open(
   }
   size_t page_size = 0;
   int64_t page_count = 0;
-  int64_t free_head = kInvalidPage;
   StoreMeta meta;
   const OpenStatus header_status = DecodeHeaderPayload(
-      payload, payload_len - 4, &page_size, &page_count, &free_head, &meta);
+      payload, payload_len - 4, &page_size, &page_count, &meta);
   if (header_status != OpenStatus::kOk) {
     *status = header_status;
     std::fclose(file);
@@ -245,72 +263,38 @@ std::unique_ptr<FileStorageManager> FileStorageManager::Open(
     return nullptr;
   }
   auto store = std::unique_ptr<FileStorageManager>(
-      new FileStorageManager(file, page_size));
+      new FileStorageManager(file, page_size, path, /*temp_path=*/""));
   store->page_count_ = page_count;
-  store->free_head_ = free_head;
   store->meta_ = meta;
   *status = OpenStatus::kOk;
   return store;
 }
 
 int64_t FileStorageManager::AllocatePage() {
-  if (free_head_ != kInvalidPage) {
-    const int64_t page = free_head_;
-    uint8_t next[8];
-    LBSQ_CHECK_EQ(
-        std::fseek(file_, static_cast<long>(page * static_cast<int64_t>(
-                                                       page_size_)),
-                   SEEK_SET),
-        0);
-    LBSQ_CHECK_EQ(std::fread(next, 1, sizeof(next), file_), sizeof(next));
-    free_head_ = GetI64Le(next);
-    return page;
-  }
-  const int64_t page = page_count_++;
-  // Materialize the page so the file always covers page_count_ pages (the
-  // truncation check at Open relies on it).
-  std::vector<uint8_t> zeros(page_size_, 0);
-  WritePage(page, zeros.data());
-  return page;
+  LBSQ_CHECK(!temp_path_.empty());
+  return page_count_++;
 }
 
 void FileStorageManager::WritePage(int64_t page, const uint8_t* data) {
+  LBSQ_CHECK(!temp_path_.empty());
   LBSQ_CHECK(page >= 1 && page < page_count_);
-  LBSQ_CHECK_EQ(
-      std::fseek(file_,
-                 static_cast<long>(page * static_cast<int64_t>(page_size_)),
-                 SEEK_SET),
-      0);
-  LBSQ_CHECK_EQ(std::fwrite(data, 1, page_size_, file_), page_size_);
+  if (write_failed_) return;
+  write_failed_ =
+      std::fseek(file_, PageOffset(page, page_size_), SEEK_SET) != 0 ||
+      std::fwrite(data, 1, page_size_, file_) != page_size_;
 }
 
 void FileStorageManager::ReadPage(int64_t page, uint8_t* out) const {
   LBSQ_CHECK(page >= 1 && page < page_count_);
-  LBSQ_CHECK_EQ(
-      std::fseek(file_,
-                 static_cast<long>(page * static_cast<int64_t>(page_size_)),
-                 SEEK_SET),
-      0);
+  LBSQ_CHECK_EQ(std::fseek(file_, PageOffset(page, page_size_), SEEK_SET), 0);
   LBSQ_CHECK_EQ(std::fread(out, 1, page_size_, file_), page_size_);
 }
 
-void FileStorageManager::FreePage(int64_t page) {
-  LBSQ_CHECK(page >= 1 && page < page_count_);
-  uint8_t next[8];
-  PutI64Le(next, free_head_);
-  LBSQ_CHECK_EQ(
-      std::fseek(file_,
-                 static_cast<long>(page * static_cast<int64_t>(page_size_)),
-                 SEEK_SET),
-      0);
-  LBSQ_CHECK_EQ(std::fwrite(next, 1, sizeof(next), file_), sizeof(next));
-  free_head_ = page;
-}
-
 bool FileStorageManager::Flush() {
-  const std::vector<uint8_t> payload =
-      EncodeHeaderPayload(page_size_, page_count_, free_head_, meta_);
-  std::vector<uint8_t> framed = payload;
+  LBSQ_CHECK(!temp_path_.empty());
+  if (write_failed_) return false;
+  std::vector<uint8_t> framed =
+      EncodeHeaderPayload(page_size_, page_count_, meta_);
   broadcast::AppendCrc32(&framed);
   LBSQ_CHECK_LE(kHeaderPrefix + framed.size(), kMinPageSize);
   std::vector<uint8_t> page(page_size_, 0);
@@ -318,11 +302,20 @@ bool FileStorageManager::Flush() {
   const uint32_t len = static_cast<uint32_t>(framed.size());
   std::memcpy(page.data() + sizeof(kMagic), &len, 4);
   std::memcpy(page.data() + kHeaderPrefix, framed.data(), framed.size());
-  if (std::fseek(file_, 0, SEEK_SET) != 0) return false;
-  if (std::fwrite(page.data(), 1, page.size(), file_) != page.size()) {
-    return false;
-  }
-  return std::fflush(file_) == 0;
+  // The temporary file is complete and durable — every page the header
+  // declares is present (ftruncate covers pages allocated but never
+  // written) — before the rename makes it the store at `path_`.
+  const int fd = ::fileno(file_);
+  write_failed_ =
+      std::fseek(file_, 0, SEEK_SET) != 0 ||
+      std::fwrite(page.data(), 1, page.size(), file_) != page.size() ||
+      std::fflush(file_) != 0 ||
+      ::ftruncate(fd, PageOffset(page_count_, page_size_)) != 0 ||
+      ::fsync(fd) != 0 ||
+      std::rename(temp_path_.c_str(), path_.c_str()) != 0;
+  if (write_failed_) return false;
+  temp_path_.clear();
+  return SyncParentDirectory(path_);
 }
 
 // ---------------------------------------------------------------------------
@@ -355,31 +348,23 @@ BlobRef WriteBlob(IStorageManager* store, const uint8_t* data, size_t size) {
   return ref;
 }
 
-bool ReadBlob(const IStorageManager& store, BufferPool* pool,
-              const BlobRef& ref, std::vector<uint8_t>* out) {
+bool ReadBlob(const IStorageManager& store, const BlobRef& ref,
+              std::vector<uint8_t>* out) {
   out->clear();
   const size_t page_size = store.page_size();
   const size_t payload_per_page = page_size - kChainPointerBytes;
   out->reserve(ref.size);
-  std::vector<uint8_t> scratch;
+  std::vector<uint8_t> frame(page_size);
   int64_t page = ref.first_page;
   uint64_t remaining = ref.size;
   while (remaining > 0) {
     if (page < 1 || page >= store.page_count()) return false;
-    const uint8_t* frame = nullptr;
-    if (pool != nullptr) {
-      frame = pool->Pin(page);
-    } else {
-      scratch.resize(page_size);
-      store.ReadPage(page, scratch.data());
-      frame = scratch.data();
-    }
-    const int64_t next = GetI64Le(frame);
+    store.ReadPage(page, frame.data());
+    const int64_t next = GetI64Le(frame.data());
     const size_t take =
         static_cast<size_t>(std::min<uint64_t>(payload_per_page, remaining));
-    out->insert(out->end(), frame + kChainPointerBytes,
-                frame + kChainPointerBytes + take);
-    if (pool != nullptr) pool->Unpin(page);
+    out->insert(out->end(), frame.data() + kChainPointerBytes,
+                frame.data() + kChainPointerBytes + take);
     remaining -= take;
     page = next;
   }

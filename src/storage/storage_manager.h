@@ -9,9 +9,11 @@
 
 /// \file
 /// The paged storage layer. `IStorageManager` is the brepdb-style page
-/// abstraction under the persisted broadcast artifacts: fixed-size pages
-/// with stable ids, allocated/freed through a free list, read and written
-/// whole. Two backends:
+/// abstraction under the persisted broadcast artifact: fixed-size pages
+/// with stable ids, appended and written whole by the builder, then read
+/// whole. A store is written once: it holds the fixed channel of one epoch,
+/// so nothing frees a page or writes to a store after it is published. Two
+/// backends:
 ///
 ///  - `MemoryStorageManager` — a page vector; the default, with no
 ///    persistence and no I/O. Byte-compatible with the file backend (the
@@ -21,12 +23,14 @@
 ///    checksummed header carrying the store metadata (dataset digest,
 ///    Hilbert order and curve, epoch, broadcast parameters, world rect) so
 ///    an open can reject a store built for a different deployment before
-///    decoding a single payload page.
+///    decoding a single payload page. A new store is written to a
+///    temporary file beside its path and published by rename, so the path
+///    always names a complete store: the previous one until the new one is
+///    durable, the new one after.
 ///
 /// File layout:
 ///   page 0  := magic "LBSQSTR1" | u32le len | header payload | u32le crc32
-///   page k  := payload page (k >= 1); free pages chain through their first
-///              8 bytes (i64le next-free, -1 terminates)
+///   page k  := payload page (k >= 1)
 ///
 /// Blobs — byte strings larger than a page — are stored as page chains:
 /// each page of a blob starts with the i64le id of the next page in the
@@ -35,14 +39,15 @@
 /// where) is itself a blob whose location lives in the header.
 ///
 /// Error handling follows the repo contract: programming errors (bad page
-/// id, wrong buffer size) abort via LBSQ_CHECK; *environmental* failures —
-/// a corrupt, truncated, or mismatched store file — surface as typed
-/// `OpenStatus` values so servers can refuse to serve the wrong world with
-/// a diagnosable message instead of a crash.
+/// id, wrong buffer size, a write to a published store) abort via
+/// LBSQ_CHECK; *environmental* failures — a failed write, or a corrupt,
+/// truncated, or mismatched store file — surface as a false Flush or a
+/// typed `OpenStatus` so tools and servers report them instead of
+/// crashing or serving the wrong world.
 
 namespace lbsq::storage {
 
-/// Sentinel page id: "no page" (free-list/chain terminator).
+/// Sentinel page id: "no page" (chain terminator).
 inline constexpr int64_t kInvalidPage = -1;
 
 /// Smallest supported page size: the header and a chain pointer plus CRC
@@ -113,7 +118,7 @@ struct BlobRef {
 
 /// The page-level storage interface. Page 0 is reserved for the backend's
 /// header; payload pages have ids >= 1. Not thread-safe: builds are
-/// single-threaded, and the serving path reads through a BufferPool.
+/// single-threaded, and an open reads every blob once into the engine.
 class IStorageManager {
  public:
   virtual ~IStorageManager() = default;
@@ -123,20 +128,17 @@ class IStorageManager {
   /// Pages in the store, including page 0.
   virtual int64_t page_count() const = 0;
 
-  /// Allocates a page (reusing a freed one when available) and returns its
-  /// id, stable for the life of the store. The page's contents are
-  /// unspecified until the first WritePage.
+  /// Appends a page and returns its id (ids count up from 1). The page's
+  /// contents are unspecified until the first WritePage.
   virtual int64_t AllocatePage() = 0;
   /// Writes one full page (`data` holds page_size() bytes). `page` must be
   /// a live payload page.
   virtual void WritePage(int64_t page, const uint8_t* data) = 0;
   /// Reads one full page into `out` (page_size() bytes).
   virtual void ReadPage(int64_t page, uint8_t* out) const = 0;
-  /// Returns a page to the free list.
-  virtual void FreePage(int64_t page) = 0;
 
-  /// Persists header + metadata (no-op for the memory backend). Returns
-  /// false on an I/O failure.
+  /// Persists header + metadata and publishes the store (no-op for the
+  /// memory backend). Returns false on an I/O failure.
   virtual bool Flush() = 0;
 
   /// The deployment metadata carried by the store header.
@@ -160,27 +162,29 @@ class MemoryStorageManager : public IStorageManager {
   int64_t AllocatePage() override;
   void WritePage(int64_t page, const uint8_t* data) override;
   void ReadPage(int64_t page, uint8_t* out) const override;
-  void FreePage(int64_t page) override;
   bool Flush() override { return true; }
 
  private:
   size_t page_size_;
   /// pages_[0] exists but is never written (header is meta_ directly).
   std::vector<std::vector<uint8_t>> pages_;
-  std::vector<int64_t> free_pages_;
 };
 
-/// Single-file page store. Create() starts an empty store (the header page
-/// is materialized on Flush); Open() validates magic, version, checksum,
-/// and length before returning a readable store.
+/// Single-file page store. Create() starts an empty store that is
+/// published on Flush; Open() validates magic, version, checksum, and
+/// length before returning a read-only store.
 class FileStorageManager : public IStorageManager {
  public:
-  /// Creates (truncating) `path` as an empty store. Returns null on an I/O
-  /// failure. Call Flush() after writing to persist the header.
+  /// Starts an empty store that will replace `path`. Pages go to a
+  /// temporary file beside it, `<path>.<pid>.tmp`; until Flush publishes
+  /// that file, `path` keeps its old contents, and a store destroyed
+  /// unpublished deletes the temporary file. A process writes one store
+  /// per path at a time. Returns null when the temporary file cannot be
+  /// created.
   static std::unique_ptr<FileStorageManager> Create(const std::string& path,
                                                     size_t page_size);
 
-  /// Opens an existing store read/write. On failure returns null and sets
+  /// Opens an existing store read-only. On failure returns null and sets
   /// `*status` (kIoError / kBadMagic / kBadVersion / kBadHeaderChecksum /
   /// kTruncated); on success sets kOk.
   static std::unique_ptr<FileStorageManager> Open(const std::string& path,
@@ -193,32 +197,40 @@ class FileStorageManager : public IStorageManager {
   size_t page_size() const override { return page_size_; }
   int64_t page_count() const override { return page_count_; }
   int64_t AllocatePage() override;
+  /// A failed write (disk full, file-size limit) does not abort: it is
+  /// latched, and Flush then returns false without publishing.
   void WritePage(int64_t page, const uint8_t* data) override;
   void ReadPage(int64_t page, uint8_t* out) const override;
-  void FreePage(int64_t page) override;
+  /// Publishes a created store: writes the header, fsyncs the temporary
+  /// file, renames it over the path and fsyncs the directory. Returns false
+  /// if a page write or any of these steps failed; the path is then left
+  /// as it was unless only the directory fsync failed. The store is
+  /// read-only afterwards, and calling Flush again is a programming error.
   bool Flush() override;
 
  private:
-  FileStorageManager(std::FILE* file, size_t page_size);
+  FileStorageManager(std::FILE* file, size_t page_size, std::string path,
+                     std::string temp_path);
 
   std::FILE* file_;
   size_t page_size_;
   int64_t page_count_ = 1;  // page 0 = header
-  int64_t free_head_ = kInvalidPage;
+  std::string path_;
+  /// The temporary file of a created, unpublished store; empty once the
+  /// store is published, and for an opened store.
+  std::string temp_path_;
+  bool write_failed_ = false;
 };
-
-class BufferPool;
 
 /// Writes `size` bytes as a page chain with a CRC-32 trailer; returns its
 /// ref. Pages come from `store->AllocatePage()`.
 BlobRef WriteBlob(IStorageManager* store, const uint8_t* data, size_t size);
 
 /// Reads a blob back into `*out` (payload only — the CRC trailer is
-/// verified and stripped). Reads go through `pool` when non-null, straight
-/// from the store otherwise. Returns false on an inconsistent chain or a
-/// CRC mismatch (the kBadBlob condition).
-bool ReadBlob(const IStorageManager& store, BufferPool* pool,
-              const BlobRef& ref, std::vector<uint8_t>* out);
+/// verified and stripped). Returns false on an inconsistent chain or a CRC
+/// mismatch (the kBadBlob condition).
+bool ReadBlob(const IStorageManager& store, const BlobRef& ref,
+              std::vector<uint8_t>* out);
 
 }  // namespace lbsq::storage
 

@@ -269,7 +269,7 @@ bool SystemBuilder::WriteStore(const core::ShardedQueryEngine& engine,
 }
 
 std::unique_ptr<core::ShardedQueryEngine> SystemBuilder::OpenFromStore(
-    const IStorageManager& store, BufferPool* pool, OpenStatus* status) const {
+    const IStorageManager& store, OpenStatus* status) const {
   const StoreMeta& meta = store.meta();
   // Refuse to serve the wrong world: the dataset digest and every build
   // parameter must match the requested deployment exactly.
@@ -294,7 +294,7 @@ std::unique_ptr<core::ShardedQueryEngine> SystemBuilder::OpenFromStore(
 
   *status = OpenStatus::kBadBlob;
   std::vector<uint8_t> bytes;
-  if (!ReadBlob(store, pool, {meta.catalog_page, meta.catalog_size}, &bytes)) {
+  if (!ReadBlob(store, {meta.catalog_page, meta.catalog_size}, &bytes)) {
     return nullptr;
   }
   std::vector<CatalogEntry> catalog;
@@ -329,7 +329,7 @@ std::unique_ptr<core::ShardedQueryEngine> SystemBuilder::OpenFromStore(
   }
   if (map_ref.first_page == kInvalidPage) return nullptr;
 
-  if (!ReadBlob(store, pool, map_ref, &bytes)) return nullptr;
+  if (!ReadBlob(store, map_ref, &bytes)) return nullptr;
   uint64_t num_cells = 0;
   std::vector<uint64_t> bounds;
   if (!DecodeShardMap(bytes, &num_cells, &bounds)) return nullptr;
@@ -357,12 +357,12 @@ std::unique_ptr<core::ShardedQueryEngine> SystemBuilder::OpenFromStore(
       return nullptr;  // partial shard record
     }
     std::vector<spatial::Poi> pois;
-    if (!ReadBlob(store, pool, blobs.pois, &bytes) ||
+    if (!ReadBlob(store, blobs.pois, &bytes) ||
         !DecodePois(bytes, &pois)) {
       return nullptr;
     }
     std::vector<broadcast::DataBucket> buckets;
-    if (!ReadBlob(store, pool, blobs.buckets, &bytes) ||
+    if (!ReadBlob(store, blobs.buckets, &bytes) ||
         !DecodeBuckets(bytes, meta.epoch, &buckets)) {
       return nullptr;
     }
@@ -373,7 +373,7 @@ std::unique_ptr<core::ShardedQueryEngine> SystemBuilder::OpenFromStore(
     if (bucketized != pois.size()) return nullptr;
     std::vector<broadcast::AirIndex::Entry> stored_entries;
     uint64_t index_epoch = 0;
-    if (!ReadBlob(store, pool, blobs.index, &bytes) ||
+    if (!ReadBlob(store, blobs.index, &bytes) ||
         !broadcast::DecodeIndexSegmentFramed(bytes.data(), bytes.size(),
                                              &stored_entries, &index_epoch) ||
         index_epoch != meta.epoch) {

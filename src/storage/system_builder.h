@@ -1,6 +1,7 @@
 #ifndef LBSQ_STORAGE_SYSTEM_BUILDER_H_
 #define LBSQ_STORAGE_SYSTEM_BUILDER_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -10,7 +11,6 @@
 #include "core/sharded_query_engine.h"
 #include "geom/rect.h"
 #include "spatial/poi.h"
-#include "storage/buffer_pool.h"
 #include "storage/storage_manager.h"
 
 /// \file
@@ -21,7 +21,7 @@
 /// two dataset sources compose with every deployment shape:
 ///
 ///  - `BuildFromPois(pois)` — build from a POI list (today's path).
-///  - `OpenFromStore(store, pool)` — reassemble from a persisted page
+///  - `OpenFromStore(store)` — reassemble from a persisted page
 ///    store: decode the CRC-framed bucket wire bytes, the air-index
 ///    segment, and the shard map; skip the Hilbert sort/bucketization that
 ///    dominates cold starts. The result is *state-identical* to the
@@ -30,11 +30,13 @@
 ///    bit-identical by construction (system_store_test diffs them on the
 ///    Table-3 LA workload).
 ///
-/// `WriteStore` persists a built engine into any `IStorageManager`; the
-/// header carries the builder's dataset digest and build parameters, and
-/// `OpenFromStore` rejects a store whose header disagrees with the
-/// requested deployment (typed `OpenStatus`, no silent wrong-world
-/// serving).
+/// `WriteStore` persists a built engine into any `IStorageManager` and
+/// publishes it (a file store replaces its path only once the whole store
+/// is written); the header carries the builder's dataset digest and build
+/// parameters, and `OpenFromStore` rejects a store whose header disagrees
+/// with the requested deployment (typed `OpenStatus`, no silent
+/// wrong-world serving). The open reads every page once, straight from the
+/// store, into the engine's own memory; the store is not needed after it.
 
 namespace lbsq::storage {
 
@@ -79,8 +81,8 @@ class SystemBuilder {
   /// Persists every built artifact of `engine` — per-shard POIs, the
   /// CRC-framed bucket wire bytes, the air-index segment bytes, the shard
   /// map — into `store` (which must be freshly created) and stamps the
-  /// checksummed header. Flushes the store; returns false on an I/O
-  /// failure.
+  /// checksummed header. Flushes, and so publishes, the store; returns
+  /// false on an I/O failure.
   bool WriteStore(const core::ShardedQueryEngine& engine,
                   IStorageManager* store) const;
 
@@ -88,11 +90,16 @@ class SystemBuilder {
   /// happens first: the store's dataset digest must equal the builder's
   /// tag (kDatasetMismatch) and its build parameters must equal the
   /// builder's world + params (kParamsMismatch). Blob decode failures
-  /// surface as kBadBlob. Page reads go through `pool` when non-null.
-  /// Returns null and sets `*status` on failure; kOk on success.
+  /// surface as kBadBlob. Returns null and sets `*status` on failure; kOk
+  /// on success.
   std::unique_ptr<core::ShardedQueryEngine> OpenFromStore(
-      const IStorageManager& store, BufferPool* pool,
-      OpenStatus* status) const;
+      const IStorageManager& store, OpenStatus* status) const;
+  /// The signature with a (null) page-cache argument that the benchmark's
+  /// `metro_store` workload calls.
+  std::unique_ptr<core::ShardedQueryEngine> OpenFromStore(
+      const IStorageManager& store, std::nullptr_t, OpenStatus* status) const {
+    return OpenFromStore(store, status);
+  }
 
   const geom::Rect& world() const { return world_; }
   const broadcast::BroadcastParams& params() const { return params_; }

@@ -14,7 +14,6 @@
 #include "sim/parallel_simulator.h"
 #include "spatial/generators.h"
 #include "spatial/poi.h"
-#include "storage/buffer_pool.h"
 #include "storage/storage_manager.h"
 #include "storage/system_builder.h"
 
@@ -353,10 +352,9 @@ TEST(IncrementalRebuildTest, PatchComposesWithOpenFromStore) {
   const auto built_engine = builder.BuildFromPois(pois);
 
   storage::MemoryStorageManager store;
-  storage::BufferPool pool(&store, /*capacity=*/16);
   ASSERT_TRUE(builder.WriteStore(*built_engine, &store));
   storage::OpenStatus status = storage::OpenStatus::kOk;
-  const auto reopened = builder.OpenFromStore(store, &pool, &status);
+  const auto reopened = builder.OpenFromStore(store, &status);
   ASSERT_NE(reopened, nullptr) << storage::OpenStatusName(status);
 
   int64_t next_id = 100000;

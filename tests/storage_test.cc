@@ -3,14 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
 
-#include "common/metrics_registry.h"
 #include "common/rng.h"
-#include "storage/buffer_pool.h"
 
 namespace lbsq::storage {
 namespace {
@@ -28,7 +25,7 @@ std::vector<uint8_t> PatternPage(size_t page_size, int64_t page) {
   return data;
 }
 
-TEST(MemoryStorageManagerTest, RoundTripAndFreeListReuse) {
+TEST(MemoryStorageManagerTest, RoundTripAndAppendOrder) {
   MemoryStorageManager store(kMinPageSize);
   EXPECT_EQ(store.page_size(), kMinPageSize);
   EXPECT_EQ(store.page_count(), 1);  // page 0 = header
@@ -45,16 +42,13 @@ TEST(MemoryStorageManagerTest, RoundTripAndFreeListReuse) {
   EXPECT_EQ(out, PatternPage(kMinPageSize, a));
   store.ReadPage(b, out.data());
   EXPECT_EQ(out, PatternPage(kMinPageSize, b));
-
-  // A freed page is reused before the store grows.
-  store.FreePage(a);
-  EXPECT_EQ(store.AllocatePage(), a);
-  EXPECT_EQ(store.page_count(), 3);
   EXPECT_EQ(store.AllocatePage(), 3);
+  EXPECT_EQ(store.page_count(), 4);
 }
 
 TEST(FileStorageManagerTest, CreateFlushReopenRoundTrip) {
   const std::string path = TempPath("roundtrip.lbsq");
+  std::filesystem::remove(path);
   StoreMeta meta;
   meta.dataset_digest = 0xdeadbeefcafef00dull;
   meta.epoch = 7;
@@ -72,7 +66,10 @@ TEST(FileStorageManagerTest, CreateFlushReopenRoundTrip) {
     store->WritePage(a, PatternPage(kMinPageSize, a).data());
     store->WritePage(b, PatternPage(kMinPageSize, b).data());
     store->set_meta(meta);
+    // The pages go to a temporary file; the path appears only on Flush.
+    EXPECT_FALSE(std::filesystem::exists(path));
     ASSERT_TRUE(store->Flush());
+    EXPECT_TRUE(std::filesystem::exists(path));
   }
   OpenStatus status = OpenStatus::kOk;
   auto store = FileStorageManager::Open(path, &status);
@@ -94,22 +91,27 @@ TEST(FileStorageManagerTest, CreateFlushReopenRoundTrip) {
   EXPECT_EQ(out, PatternPage(kMinPageSize, 2));
 }
 
-TEST(FileStorageManagerTest, FreeListSurvivesReopen) {
-  const std::string path = TempPath("freelist.lbsq");
+TEST(FileStorageManagerTest, UnwrittenPagesSurviveReopen) {
+  const std::string path = TempPath("unwritten.lbsq");
   {
     auto store = FileStorageManager::Create(path, kMinPageSize);
     ASSERT_NE(store, nullptr);
     store->AllocatePage();  // 1
-    store->AllocatePage();  // 2
-    store->AllocatePage();  // 3
-    store->FreePage(2);
+    const int64_t b = store->AllocatePage();
+    store->AllocatePage();  // 3, past the last page written
+    store->WritePage(b, PatternPage(kMinPageSize, b).data());
     ASSERT_TRUE(store->Flush());
   }
+  // The published file covers every allocated page, so it opens in full.
   OpenStatus status = OpenStatus::kOk;
   auto store = FileStorageManager::Open(path, &status);
-  ASSERT_NE(store, nullptr);
-  EXPECT_EQ(store->AllocatePage(), 2);  // from the persisted free chain
-  EXPECT_EQ(store->AllocatePage(), 4);  // chain exhausted: grows the file
+  ASSERT_NE(store, nullptr) << OpenStatusName(status);
+  EXPECT_EQ(store->page_count(), 4);
+  std::vector<uint8_t> out(kMinPageSize);
+  store->ReadPage(2, out.data());
+  EXPECT_EQ(out, PatternPage(kMinPageSize, 2));
+  store->ReadPage(3, out.data());
+  EXPECT_EQ(out, std::vector<uint8_t>(kMinPageSize, 0));
 }
 
 TEST(FileStorageManagerTest, OpenMissingFileIsIoError) {
@@ -186,12 +188,7 @@ TEST(BlobTest, RoundTripAcrossPageChain) {
     for (uint8_t& b : blob) b = static_cast<uint8_t>(rng.NextBelow(256));
     const BlobRef ref = WriteBlob(&store, blob.data(), blob.size());
     std::vector<uint8_t> out;
-    ASSERT_TRUE(ReadBlob(store, /*pool=*/nullptr, ref, &out)) << size;
-    EXPECT_EQ(out, blob) << size;
-
-    // The same bytes must come back through a (tiny, evicting) pool.
-    BufferPool pool(&store, 2);
-    ASSERT_TRUE(ReadBlob(store, &pool, ref, &out)) << size;
+    ASSERT_TRUE(ReadBlob(store, ref, &out)) << size;
     EXPECT_EQ(out, blob) << size;
   }
 }
@@ -207,7 +204,7 @@ TEST(BlobTest, CorruptedPayloadFailsCrc) {
   store.WritePage(ref.first_page, page.data());
 
   std::vector<uint8_t> out;
-  EXPECT_FALSE(ReadBlob(store, /*pool=*/nullptr, ref, &out));
+  EXPECT_FALSE(ReadBlob(store, ref, &out));
 }
 
 TEST(BlobTest, BrokenChainFails) {
@@ -223,138 +220,7 @@ TEST(BlobTest, BrokenChainFails) {
   store.WritePage(ref.first_page, page.data());
 
   std::vector<uint8_t> out;
-  EXPECT_FALSE(ReadBlob(store, /*pool=*/nullptr, ref, &out));
-}
-
-// ---------------------------------------------------------------------------
-// BufferPool
-
-/// Fills `store` with `n` payload pages, each carrying its pattern.
-void FillPages(MemoryStorageManager* store, int n) {
-  for (int i = 0; i < n; ++i) {
-    const int64_t page = store->AllocatePage();
-    store->WritePage(page, PatternPage(kMinPageSize, page).data());
-  }
-}
-
-TEST(BufferPoolTest, HitsAndMisses) {
-  MemoryStorageManager store(kMinPageSize);
-  FillPages(&store, 3);
-  BufferPool pool(&store, 4);
-  EXPECT_EQ(pool.HitRatio(), 0.0);
-
-  const uint8_t* p1 = pool.Pin(1);
-  ASSERT_NE(p1, nullptr);
-  EXPECT_EQ(std::memcmp(p1, PatternPage(kMinPageSize, 1).data(), kMinPageSize),
-            0);
-  pool.Unpin(1);
-  EXPECT_EQ(pool.hits(), 0u);
-  EXPECT_EQ(pool.misses(), 1u);
-
-  const uint8_t* again = pool.Pin(1);
-  EXPECT_EQ(again, p1);  // same resident frame
-  pool.Unpin(1);
-  EXPECT_EQ(pool.hits(), 1u);
-  EXPECT_EQ(pool.misses(), 1u);
-  EXPECT_EQ(pool.evictions(), 0u);
-  EXPECT_DOUBLE_EQ(pool.HitRatio(), 0.5);
-}
-
-TEST(BufferPoolTest, ClockEvictionOrder) {
-  MemoryStorageManager store(kMinPageSize);
-  FillPages(&store, 3);
-  BufferPool pool(&store, 2);
-  pool.Pin(1);
-  pool.Unpin(1);
-  pool.Pin(2);
-  pool.Unpin(2);
-  // Both frames referenced: the first sweep clears both bits, the second
-  // evicts the page the hand reaches first — page 1, the older frame.
-  pool.Pin(3);
-  pool.Unpin(3);
-  EXPECT_EQ(pool.evictions(), 1u);
-
-  const uint64_t misses_before = pool.misses();
-  pool.Pin(2);  // survivor: still resident
-  pool.Unpin(2);
-  EXPECT_EQ(pool.misses(), misses_before);
-  pool.Pin(1);  // victim: faulted back in
-  pool.Unpin(1);
-  EXPECT_EQ(pool.misses(), misses_before + 1);
-  EXPECT_EQ(pool.evictions(), 2u);
-}
-
-TEST(BufferPoolTest, PinnedPagesAreNeverEvicted) {
-  MemoryStorageManager store(kMinPageSize);
-  FillPages(&store, 8);
-  BufferPool pool(&store, 2);
-  const uint8_t* pinned = pool.Pin(1);  // held across the churn below
-
-  // Churn every other page through the one remaining frame.
-  for (int64_t page = 2; page <= 8; ++page) {
-    const uint8_t* p = pool.Pin(page);
-    EXPECT_EQ(
-        std::memcmp(p, PatternPage(kMinPageSize, page).data(), kMinPageSize),
-        0);
-    pool.Unpin(page);
-  }
-  EXPECT_GE(pool.evictions(), 6u);
-
-  // The pinned frame never moved or changed.
-  EXPECT_EQ(std::memcmp(pinned, PatternPage(kMinPageSize, 1).data(),
-                        kMinPageSize),
-            0);
-  const uint8_t* still = pool.Pin(1);
-  EXPECT_EQ(still, pinned);
-  pool.Unpin(1);
-  pool.Unpin(1);
-}
-
-TEST(BufferPoolTest, NestedPinsKeepFrameResident) {
-  MemoryStorageManager store(kMinPageSize);
-  FillPages(&store, 4);
-  BufferPool pool(&store, 2);
-  pool.Pin(1);
-  pool.Pin(1);  // nested
-  pool.Unpin(1);
-  // One pin still outstanding: page 1 must survive a full churn.
-  pool.Pin(2);
-  pool.Unpin(2);
-  pool.Pin(3);
-  pool.Unpin(3);
-  pool.Pin(4);
-  pool.Unpin(4);
-  const uint64_t misses_before = pool.misses();
-  pool.Pin(1);
-  EXPECT_EQ(pool.misses(), misses_before);  // hit: never left the pool
-  pool.Unpin(1);
-  pool.Unpin(1);
-}
-
-TEST(BufferPoolTest, ExportMetrics) {
-  MemoryStorageManager store(kMinPageSize);
-  FillPages(&store, 3);
-  BufferPool pool(&store, 2);
-  pool.Pin(1);
-  pool.Unpin(1);
-  pool.Pin(1);
-  pool.Unpin(1);
-  pool.Pin(2);
-  pool.Unpin(2);
-  pool.Pin(3);
-  pool.Unpin(3);
-
-  MetricsRegistry registry;
-  pool.ExportMetrics(&registry);
-  EXPECT_EQ(registry.counter("storage.pool_hits"),
-            static_cast<int64_t>(pool.hits()));
-  EXPECT_EQ(registry.counter("storage.pool_misses"),
-            static_cast<int64_t>(pool.misses()));
-  EXPECT_EQ(registry.counter("storage.pool_evictions"),
-            static_cast<int64_t>(pool.evictions()));
-  EXPECT_EQ(registry.counter("storage.pool_hits"), 1);
-  EXPECT_EQ(registry.counter("storage.pool_misses"), 3);
-  EXPECT_EQ(registry.counter("storage.pool_evictions"), 1);
+  EXPECT_FALSE(ReadBlob(store, ref, &out));
 }
 
 }  // namespace

@@ -1,15 +1,22 @@
 // SystemBuilder store round trips: WriteStore / OpenFromStore state
 // identity (answer digests over the Table 3 LA workload must be
 // bit-identical between a fresh build and a cold open, over both storage
-// backends), plus the typed rejection paths.
+// backends), the typed rejection paths, and crash injection: damaged store
+// files and interrupted writers.
 
 #include "storage/system_builder.h"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <bit>
+#include <csignal>
 #include <cmath>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,7 +24,6 @@
 #include "common/rng.h"
 #include "sim/metrics.h"
 #include "spatial/generators.h"
-#include "storage/buffer_pool.h"
 #include "storage/storage_manager.h"
 
 namespace lbsq::storage {
@@ -95,7 +101,7 @@ TEST(SystemStoreTest, MemoryRoundTripIsStateIdentical) {
   EXPECT_EQ(store.meta().poi_count, static_cast<uint64_t>(kPoiNumber));
 
   OpenStatus status = OpenStatus::kIoError;
-  const auto opened = builder.OpenFromStore(store, /*pool=*/nullptr, &status);
+  const auto opened = builder.OpenFromStore(store, &status);
   ASSERT_NE(opened, nullptr) << OpenStatusName(status);
   EXPECT_EQ(status, OpenStatus::kOk);
 
@@ -121,7 +127,7 @@ TEST(SystemStoreTest, ShardedRoundTripIsStateIdentical) {
   MemoryStorageManager store;
   ASSERT_TRUE(builder.WriteStore(*built, &store));
   OpenStatus status = OpenStatus::kIoError;
-  const auto opened = builder.OpenFromStore(store, /*pool=*/nullptr, &status);
+  const auto opened = builder.OpenFromStore(store, &status);
   ASSERT_NE(opened, nullptr) << OpenStatusName(status);
 
   ASSERT_EQ(opened->num_shards(), 4);
@@ -132,7 +138,7 @@ TEST(SystemStoreTest, ShardedRoundTripIsStateIdentical) {
   EXPECT_EQ(WorkloadDigest(*built), WorkloadDigest(*opened));
 }
 
-TEST(SystemStoreTest, FileBackendColdOpenThroughTinyPool) {
+TEST(SystemStoreTest, FileBackendColdOpen) {
   const std::string path =
       (std::filesystem::path(::testing::TempDir()) / "la.lbsq").string();
   const SystemBuilder builder = LaBuilder();
@@ -146,13 +152,8 @@ TEST(SystemStoreTest, FileBackendColdOpenThroughTinyPool) {
   OpenStatus status = OpenStatus::kIoError;
   auto store = FileStorageManager::Open(path, &status);
   ASSERT_NE(store, nullptr) << OpenStatusName(status);
-
-  // A 2-frame pool forces evictions while the open streams the blobs.
-  BufferPool pool(store.get(), 2);
-  const auto opened = builder.OpenFromStore(*store, &pool, &status);
+  const auto opened = builder.OpenFromStore(*store, &status);
   ASSERT_NE(opened, nullptr) << OpenStatusName(status);
-  EXPECT_GT(pool.misses(), 0u);
-  EXPECT_GT(pool.evictions(), 0u);
 
   EXPECT_EQ(WorkloadDigest(*built), WorkloadDigest(*opened));
 }
@@ -166,7 +167,7 @@ TEST(SystemStoreTest, RejectsDatasetMismatch) {
   SystemBuilder other(kWorld, broadcast::BroadcastParams{});
   other.SetDatasetTag(kDatasetTag + 1);
   OpenStatus status = OpenStatus::kOk;
-  EXPECT_EQ(other.OpenFromStore(store, nullptr, &status), nullptr);
+  EXPECT_EQ(other.OpenFromStore(store, &status), nullptr);
   EXPECT_EQ(status, OpenStatus::kDatasetMismatch);
 }
 
@@ -182,19 +183,19 @@ TEST(SystemStoreTest, RejectsParamsMismatch) {
   different_m.m += 1;
   SystemBuilder m_builder(kWorld, different_m);
   m_builder.SetDatasetTag(kDatasetTag);
-  EXPECT_EQ(m_builder.OpenFromStore(store, nullptr, &status), nullptr);
+  EXPECT_EQ(m_builder.OpenFromStore(store, &status), nullptr);
   EXPECT_EQ(status, OpenStatus::kParamsMismatch);
 
   // Different world rectangle.
   SystemBuilder world_builder(geom::Rect{0.0, 0.0, 10.0, 10.0},
                               broadcast::BroadcastParams{});
   world_builder.SetDatasetTag(kDatasetTag);
-  EXPECT_EQ(world_builder.OpenFromStore(store, nullptr, &status), nullptr);
+  EXPECT_EQ(world_builder.OpenFromStore(store, &status), nullptr);
   EXPECT_EQ(status, OpenStatus::kParamsMismatch);
 
   // Different shard count.
   SystemBuilder shard_builder = LaBuilder(/*shards=*/2);
-  EXPECT_EQ(shard_builder.OpenFromStore(store, nullptr, &status), nullptr);
+  EXPECT_EQ(shard_builder.OpenFromStore(store, &status), nullptr);
   EXPECT_EQ(status, OpenStatus::kParamsMismatch);
 }
 
@@ -212,8 +213,176 @@ TEST(SystemStoreTest, RejectsCorruptedBlob) {
   store.WritePage(1, page.data());
 
   OpenStatus status = OpenStatus::kOk;
-  EXPECT_EQ(builder.OpenFromStore(store, nullptr, &status), nullptr);
+  EXPECT_EQ(builder.OpenFromStore(store, &status), nullptr);
   EXPECT_EQ(status, OpenStatus::kBadBlob);
+}
+
+// ---------------------------------------------------------------------------
+// Crash injection. A file store is published whole or not at all, and a
+// damaged store file ends in a typed status, never an abort.
+
+std::vector<uint8_t> ReadFileBytes(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void WriteFileBytes(const std::filesystem::path& path, const uint8_t* data,
+                    size_t size) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(data),
+            static_cast<std::streamsize>(size));
+}
+
+/// Opens the store file at `path` through both layers; `*engine` is set
+/// when the result is kOk.
+OpenStatus OpenEngine(const SystemBuilder& builder,
+                      const std::filesystem::path& path,
+                      std::unique_ptr<core::ShardedQueryEngine>* engine) {
+  OpenStatus status = OpenStatus::kOk;
+  const auto store = FileStorageManager::Open(path.string(), &status);
+  if (store == nullptr) return status;
+  *engine = builder.OpenFromStore(*store, &status);
+  return status;
+}
+
+/// Lowers this process's file-size limit to `bytes`, with SIGXFSZ ignored
+/// so that a write past it fails with EFBIG instead of killing the
+/// process. The destructor restores both.
+class FileSizeLimit {
+ public:
+  explicit FileSizeLimit(rlim_t bytes) {
+    EXPECT_EQ(getrlimit(RLIMIT_FSIZE, &saved_), 0);
+    saved_handler_ = std::signal(SIGXFSZ, SIG_IGN);
+    rlimit lowered = saved_;
+    lowered.rlim_cur = bytes;
+    EXPECT_EQ(setrlimit(RLIMIT_FSIZE, &lowered), 0);
+  }
+  ~FileSizeLimit() {
+    EXPECT_EQ(setrlimit(RLIMIT_FSIZE, &saved_), 0);
+    std::signal(SIGXFSZ, saved_handler_);
+  }
+  FileSizeLimit(const FileSizeLimit&) = delete;
+  FileSizeLimit& operator=(const FileSizeLimit&) = delete;
+
+ private:
+  rlimit saved_{};
+  void (*saved_handler_)(int) = SIG_DFL;
+};
+
+/// Each case works in a directory of its own, so it can check that no
+/// temporary file is left beside the store.
+class StoreCrashTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = std::filesystem::path(::testing::TempDir()) /
+           ("store_crash_" + std::to_string(::getpid()) + "_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  std::vector<std::string> DirEntries() const {
+    std::vector<std::string> names;
+    for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+      names.push_back(entry.path().filename().string());
+    }
+    std::sort(names.begin(), names.end());
+    return names;
+  }
+
+  std::filesystem::path dir_;
+};
+
+TEST_F(StoreCrashTest, DamagedCopiesEndInTypedStatusOrSameAnswers) {
+  const SystemBuilder builder = LaBuilder();
+  const auto built = builder.BuildFromPois(LaPois());
+  const uint64_t digest = WorkloadDigest(*built);
+  const std::filesystem::path path = dir_ / "la.lbsq";
+  {
+    auto store = FileStorageManager::Create(path.string(), kDefaultPageSize);
+    ASSERT_NE(store, nullptr);
+    ASSERT_TRUE(builder.WriteStore(*built, store.get()));
+  }
+  // The published file is the finished temporary file, renamed.
+  const std::vector<uint8_t> bytes = ReadFileBytes(path);
+  const size_t page_size = kDefaultPageSize;
+  ASSERT_EQ(bytes.size() % page_size, 0u);
+  const size_t pages = bytes.size() / page_size;
+  ASSERT_GT(pages, 8u);
+  const std::filesystem::path copy = dir_ / "copy.lbsq";
+
+  // Cut at every page boundary: the header declares pages that are gone.
+  for (size_t page = 0; page < pages; ++page) {
+    WriteFileBytes(copy, bytes.data(), page * page_size);
+    std::unique_ptr<core::ShardedQueryEngine> engine;
+    EXPECT_EQ(OpenEngine(builder, copy, &engine), OpenStatus::kTruncated)
+        << "cut after " << page << " pages";
+  }
+
+  // One byte flipped per copy, at four offsets of every page: in page 0 the
+  // magic, the header length and twice the padding past the CRC'd header;
+  // elsewhere the chain pointer, the first payload byte, mid-page and the
+  // last byte (payload, or padding on a blob's last page).
+  int refused = 0;
+  int served = 0;
+  for (size_t page = 0; page < pages; ++page) {
+    for (const size_t offset :
+         {size_t{0}, size_t{8}, page_size / 2, page_size - 1}) {
+      std::vector<uint8_t> damaged = bytes;
+      damaged[page * page_size + offset] ^= 0xff;
+      WriteFileBytes(copy, damaged.data(), damaged.size());
+      std::unique_ptr<core::ShardedQueryEngine> engine;
+      const OpenStatus status = OpenEngine(builder, copy, &engine);
+      if (status != OpenStatus::kOk) {
+        ++refused;
+        continue;
+      }
+      // Only a byte no CRC covers can change without a refusal, and it
+      // must not change an answer.
+      ++served;
+      EXPECT_EQ(WorkloadDigest(*engine), digest)
+          << "page " << page << " offset " << offset;
+    }
+  }
+  EXPECT_GT(refused, 0);
+  EXPECT_GT(served, 0);
+}
+
+TEST_F(StoreCrashTest, InterruptedWritersLeaveTheLastStore) {
+  const SystemBuilder builder = LaBuilder();
+  const auto built = builder.BuildFromPois(LaPois());
+  const uint64_t digest = WorkloadDigest(*built);
+  const std::filesystem::path path = dir_ / "la.lbsq";
+  {
+    auto first = FileStorageManager::Create(path.string(), kDefaultPageSize);
+    ASSERT_NE(first, nullptr);
+    ASSERT_TRUE(builder.WriteStore(*built, first.get()));
+  }
+  const std::vector<uint8_t> published = ReadFileBytes(path);
+
+  // A second writer is destroyed before Flush, as on an early return.
+  {
+    auto second = FileStorageManager::Create(path.string(), kDefaultPageSize);
+    ASSERT_NE(second, nullptr);
+    const std::vector<uint8_t> blob(3 * kDefaultPageSize, uint8_t{0x5a});
+    WriteBlob(second.get(), blob.data(), blob.size());
+    WriteBlob(second.get(), blob.data(), blob.size());
+  }
+  // A third, writing a different world, runs out of file size mid-write.
+  {
+    const auto other = builder.BuildFromPois(LaPois(/*seed=*/2));
+    auto third = FileStorageManager::Create(path.string(), kDefaultPageSize);
+    ASSERT_NE(third, nullptr);
+    const FileSizeLimit limit(4 * kDefaultPageSize);
+    EXPECT_FALSE(builder.WriteStore(*other, third.get()));
+  }
+
+  EXPECT_EQ(ReadFileBytes(path), published);
+  std::unique_ptr<core::ShardedQueryEngine> engine;
+  ASSERT_EQ(OpenEngine(builder, path, &engine), OpenStatus::kOk);
+  EXPECT_EQ(WorkloadDigest(*engine), digest);
+  EXPECT_EQ(DirEntries(), std::vector<std::string>{"la.lbsq"});
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // lbsq_server: standalone broadcast query server.
 //
-// Loads (or generates) a POI dataset, builds the — optionally sharded —
-// broadcast system, and serves the three-step access protocol over
+// Generates a POI dataset and builds the — optionally sharded — broadcast
+// system, or cold-opens one persisted by lbsq_store_build (--store, read
+// once into memory), and serves the three-step access protocol over
 // length-prefixed binary client sessions (see src/server/protocol.h).
 // The POI set is generated with the simulator's deterministic RNG stream,
 // so `lbsq_load` replaying the same config's workload receives answers
@@ -10,6 +11,7 @@
 // Examples:
 //   lbsq_server --port=4750 --shards=4 --workers=4
 //   lbsq_server --port=0 --run-seconds=60     # ephemeral port, timed run
+//   lbsq_server --store=la.lbsq --port=4750   # serve a lbsq_store_build store
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -29,7 +31,6 @@
 #include "sim/query_exec.h"
 #include "sim/workload.h"
 #include "spatial/generators.h"
-#include "storage/buffer_pool.h"
 #include "storage/system_builder.h"
 
 namespace {
@@ -59,8 +60,6 @@ void PrintUsage() {
       "                                   of rebuilding; the dataset flags\n"
       "                                   must match the store or the open\n"
       "                                   is refused with a typed error\n"
-      "  --pool-pages=<n>                 buffer-pool capacity in pages "
-      "(1024)\n"
       "\n"
       "Dataset (must match the lbsq_load / lbsq_sim run to compare "
       "digests):\n%s",
@@ -91,7 +90,6 @@ int main(int argc, char** argv) {
   options.num_workers = 2;
   int run_seconds = 0;
   std::string store_path;
-  size_t pool_pages = 1024;
 
   for (int i = 1; i < argc; ++i) {
     std::string value;
@@ -110,7 +108,13 @@ int main(int argc, char** argv) {
       PrintUsage();
       return 0;
     } else if (ParseFlag(arg, "--port", &value)) {
-      options.port = static_cast<uint16_t>(std::atoi(value.c_str()));
+      char* end = nullptr;
+      const long port = std::strtol(value.c_str(), &end, 10);
+      if (value.empty() || *end != '\0' || port < 0 || port > 65535) {
+        std::fprintf(stderr, "--port must be an integer in 0-65535\n");
+        return 1;
+      }
+      options.port = static_cast<uint16_t>(port);
     } else if (ParseFlag(arg, "--workers", &value)) {
       options.num_workers = std::atoi(value.c_str());
     } else if (ParseFlag(arg, "--queue-capacity", &value)) {
@@ -125,12 +129,6 @@ int main(int argc, char** argv) {
       run_seconds = std::atoi(value.c_str());
     } else if (ParseFlag(arg, "--store", &value)) {
       store_path = value;
-    } else if (ParseFlag(arg, "--pool-pages", &value)) {
-      pool_pages = static_cast<size_t>(std::atoll(value.c_str()));
-      if (pool_pages < 1) {
-        std::fprintf(stderr, "--pool-pages must be >= 1\n");
-        return 1;
-      }
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", arg);
       PrintUsage();
@@ -152,34 +150,26 @@ int main(int argc, char** argv) {
       .SetShards(spec.shards)
       .SetDatasetTag(spec.Digest());
 
-  std::unique_ptr<storage::FileStorageManager> store;
-  std::unique_ptr<storage::BufferPool> pool;
   std::unique_ptr<core::ShardedQueryEngine> engine;
   if (!store_path.empty()) {
-    // Cold start from the persisted store: decode pages through the buffer
-    // pool instead of regenerating POIs and re-running the Hilbert build.
-    // The store header must name exactly this deployment.
+    // Cold start from the persisted store: decode its pages once instead of
+    // regenerating POIs and re-running the Hilbert build. The store header
+    // must name exactly this deployment.
     storage::OpenStatus status = storage::OpenStatus::kOk;
-    store = storage::FileStorageManager::Open(store_path, &status);
+    const auto store = storage::FileStorageManager::Open(store_path, &status);
     if (store == nullptr) {
       std::fprintf(stderr, "FATAL: cannot open store '%s': %s\n",
                    store_path.c_str(), storage::OpenStatusName(status));
       return 1;
     }
-    pool = std::make_unique<storage::BufferPool>(store.get(), pool_pages);
-    engine = builder.OpenFromStore(*store, pool.get(), &status);
+    engine = builder.OpenFromStore(*store, &status);
     if (engine == nullptr) {
       std::fprintf(stderr, "FATAL: store '%s' rejected: %s\n",
                    store_path.c_str(), storage::OpenStatusName(status));
       return 1;
     }
-    std::printf(
-        "store: %s (%lld pages, pool %zu pages, "
-        "hits/misses/evictions %llu/%llu/%llu)\n",
-        store_path.c_str(), static_cast<long long>(store->page_count()),
-        pool->capacity(), static_cast<unsigned long long>(pool->hits()),
-        static_cast<unsigned long long>(pool->misses()),
-        static_cast<unsigned long long>(pool->evictions()));
+    std::printf("store: %s (%lld pages)\n", store_path.c_str(),
+                static_cast<long long>(store->page_count()));
   } else {
     // The simulator's deterministic POI stream: same seed, same world, same
     // POIs — the foundation of the lbsq_load digest check.
@@ -249,15 +239,5 @@ int main(int argc, char** argv) {
               static_cast<long long>(registry.counter("dynamic.epochs_patched")),
               static_cast<long long>(
                   registry.counter("dynamic.full_rebuild_fallbacks")));
-  if (pool != nullptr) {
-    pool->ExportMetrics(&registry);
-    std::printf(
-        "storage pool            : %lld hits / %lld misses / %lld "
-        "evictions (%.1f%% hit ratio)\n",
-        static_cast<long long>(registry.counter("storage.pool_hits")),
-        static_cast<long long>(registry.counter("storage.pool_misses")),
-        static_cast<long long>(registry.counter("storage.pool_evictions")),
-        pool->HitRatio() * 100.0);
-  }
   return 0;
 }

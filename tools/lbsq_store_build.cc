@@ -4,17 +4,21 @@
 // simulator's deterministic POI stream), builds the sharded broadcast
 // deployment through SystemBuilder, and persists every built artifact —
 // per-shard POIs, the CRC-framed bucket wire bytes, the air-index segment,
-// the shard map — into a single-file page store. `lbsq_server
+// the shard map — into a single-file page store of 4 KiB pages. `lbsq_server
 // --store=<file>` then serves the deployment by decoding pages instead of
 // re-running the Hilbert build, and refuses a store whose header digest or
 // build parameters disagree with its own flags.
+//
+// The store is written to a temporary file beside --out and renamed over
+// it once complete and synced, so --out names the previous store until the
+// new one is in place. A failed write (disk full, file-size limit) exits 1
+// with one line on stderr and leaves --out as it was.
 //
 // Examples:
 //   lbsq_store_build --out=la.lbsq                        # LA City, bench scale
 //   lbsq_store_build --out=metro.lbsq --world=20 --pois=1000000 --shards=8
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -32,8 +36,8 @@ void PrintUsage() {
       "lbsq_store_build: build a dataset once, persist it as a page store\n"
       "\n"
       "Output:\n"
-      "  --out=<path>                     store file to write (required)\n"
-      "  --page-size=<bytes>              page size (4096, min 256)\n"
+      "  --out=<path>                     store file to write (required);\n"
+      "                                   replaced only by a complete store\n"
       "\n"
       "Dataset (must match the lbsq_server --store run):\n%s",
       lbsq::sim::DatasetFlagsHelp());
@@ -46,7 +50,6 @@ int main(int argc, char** argv) {
 
   sim::DatasetSpec spec;
   std::string out_path;
-  size_t page_size = storage::kDefaultPageSize;
 
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
@@ -62,13 +65,6 @@ int main(int argc, char** argv) {
     }
     if (std::strncmp(arg, "--out=", 6) == 0) {
       out_path = arg + 6;
-    } else if (std::strncmp(arg, "--page-size=", 12) == 0) {
-      page_size = static_cast<size_t>(std::atoll(arg + 12));
-      if (page_size < storage::kMinPageSize) {
-        std::fprintf(stderr, "--page-size must be >= %zu\n",
-                     storage::kMinPageSize);
-        return 2;
-      }
     } else if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
       PrintUsage();
       return 0;
@@ -105,7 +101,8 @@ int main(int argc, char** argv) {
   const auto engine = builder.BuildFromPois(std::move(pois));
   const auto build_end = std::chrono::steady_clock::now();
 
-  auto store = storage::FileStorageManager::Create(out_path, page_size);
+  auto store = storage::FileStorageManager::Create(out_path,
+                                                  storage::kDefaultPageSize);
   if (store == nullptr) {
     std::fprintf(stderr, "FATAL: cannot create '%s'\n", out_path.c_str());
     return 1;
@@ -123,9 +120,10 @@ int main(int argc, char** argv) {
       "store     : %s (%lld pages x %zu B = %.1f MiB)\n"
       "digest    : %016llx\n"
       "timing    : generate %.2f s, build %.2f s, persist %.2f s\n",
-      out_path.c_str(), static_cast<long long>(store->page_count()), page_size,
-      static_cast<double>(store->page_count()) * static_cast<double>(page_size) /
-          (1024.0 * 1024.0),
+      out_path.c_str(), static_cast<long long>(store->page_count()),
+      store->page_size(),
+      static_cast<double>(store->page_count()) *
+          static_cast<double>(store->page_size()) / (1024.0 * 1024.0),
       static_cast<unsigned long long>(spec.Digest()),
       secs(gen_start, build_start), secs(build_start, build_end),
       secs(build_end, write_end));
