@@ -28,8 +28,12 @@ bool SetNonBlocking(int fd) {
 
 const char* ServerOptions::FirstViolation() const {
   LBSQ_RULE(num_workers >= 1);
+  LBSQ_RULE(num_workers <= kMaxWorkers);
   LBSQ_RULE(worker_queue_capacity >= 1);
+  LBSQ_RULE(worker_queue_capacity <= kMaxQueueCapacity);
   LBSQ_RULE(session_inflight_limit >= 1);
+  LBSQ_RULE(session_inflight_limit <= kMaxInflightLimit);
+  LBSQ_RULE(retry_after_ms <= kMaxRetryAfterMs);
   return nullptr;
 }
 
@@ -133,28 +137,29 @@ size_t Server::RouteWorker(const QueryCall& call) const {
   return static_cast<size_t>(shard) % workers_.size();
 }
 
-void Server::DispatchQuery(const std::shared_ptr<Conn>& conn,
-                           const QueryCall& call) {
-  Worker& worker = *workers_[RouteWorker(call)];
+void Server::DispatchQuery(Job job) {
+  Worker& worker = *workers_[RouteWorker(job.call)];
+  Conn& conn = *job.conn;
+  const uint64_t request_id = job.call.request_id;
   bool shed =
-      conn->in_flight.load(std::memory_order_relaxed) >=
+      conn.in_flight.load(std::memory_order_relaxed) >=
       static_cast<int64_t>(options_.session_inflight_limit);
   if (!shed) {
     std::lock_guard<std::mutex> lock(worker.mu);
     if (worker.queue.size() >= options_.worker_queue_capacity) {
       shed = true;
     } else {
-      conn->in_flight.fetch_add(1, std::memory_order_relaxed);
-      worker.queue.push_back(Job{conn, call});
+      conn.in_flight.fetch_add(1, std::memory_order_relaxed);
+      worker.queue.push_back(std::move(job));
     }
   }
   if (shed) {
     RetryAfter retry;
-    retry.request_id = call.request_id;
+    retry.request_id = request_id;
     retry.delay_ms = options_.retry_after_ms;
-    std::lock_guard<std::mutex> lock(conn->out_mu);
+    std::lock_guard<std::mutex> lock(conn.out_mu);
     AppendFrame(FrameType::kRetryAfter, EncodeRetryAfter(retry),
-                &conn->outbox);
+                &conn.outbox);
     counters_.frames_sent.fetch_add(1, std::memory_order_relaxed);
     counters_.retry_after_sent.fetch_add(1, std::memory_order_relaxed);
   } else {
@@ -162,10 +167,36 @@ void Server::DispatchQuery(const std::shared_ptr<Conn>& conn,
   }
 }
 
+void Server::AnswerQuery(Conn& conn, const QueryCall& call,
+                         AnswerScratch* scratch) {
+  core::QueryRequest request;
+  request.kind = call.kind;
+  request.position = call.position;
+  // Clamp k to the database size: k > n answers with all n POIs either
+  // way, and the clamp keeps a hostile k from sizing the answer heap.
+  request.k = static_cast<int>(std::min<uint64_t>(
+      static_cast<uint64_t>(std::max(call.k, 0)), engine_.total_pois()));
+  request.window = call.window;
+  request.slot = call.slot;
+  engine_.Execute(request, scratch->workspace, &scratch->outcome);
+  counters_.queries_executed.fetch_add(1, std::memory_order_relaxed);
+
+  QueryAnswer answer = BuildAnswer(call, scratch->outcome);
+  // v1 sessions are epoch-free end to end (see Session::OnFrame).
+  if (conn.session.version() < 2) answer.epoch = 0;
+  scratch->frame_bytes.clear();
+  AppendFrame(FrameType::kAnswer, EncodeQueryAnswer(answer),
+              &scratch->frame_bytes);
+  std::lock_guard<std::mutex> lock(conn.out_mu);
+  if (!conn.gone) {
+    conn.outbox.insert(conn.outbox.end(), scratch->frame_bytes.begin(),
+                       scratch->frame_bytes.end());
+    counters_.frames_sent.fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
 void Server::WorkerLoop(Worker* worker) {
-  core::ShardedQueryWorkspace workspace;
-  core::QueryOutcome outcome;
-  std::vector<uint8_t> frame_bytes;
+  AnswerScratch scratch;
   for (;;) {
     Job job;
     {
@@ -186,41 +217,14 @@ void Server::WorkerLoop(Worker* worker) {
       std::lock_guard<std::mutex> lock(job.conn->out_mu);
       gone = job.conn->gone;
     }
-    if (!gone) {
-      core::QueryRequest request;
-      request.kind = job.call.kind;
-      request.position = job.call.position;
-      // Clamp k to the database size: k > n answers with all n POIs either
-      // way, and the clamp keeps a hostile k from sizing the answer heap.
-      request.k = static_cast<int>(std::min<uint64_t>(
-          static_cast<uint64_t>(std::max(job.call.k, 0)),
-          engine_.total_pois()));
-      request.window = job.call.window;
-      request.slot = job.call.slot;
-      engine_.Execute(request, workspace, &outcome);
-      counters_.queries_executed.fetch_add(1, std::memory_order_relaxed);
-
-      QueryAnswer answer = BuildAnswer(job.call, outcome);
-      // v1 sessions are epoch-free end to end (see Session::OnFrame).
-      if (job.conn->session.version() < 2) answer.epoch = 0;
-      frame_bytes.clear();
-      AppendFrame(FrameType::kAnswer, EncodeQueryAnswer(answer),
-                  &frame_bytes);
-      {
-        std::lock_guard<std::mutex> lock(job.conn->out_mu);
-        if (!job.conn->gone) {
-          job.conn->outbox.insert(job.conn->outbox.end(), frame_bytes.begin(),
-                                  frame_bytes.end());
-          counters_.frames_sent.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    }
+    if (!gone) AnswerQuery(*job.conn, job.call, &scratch);
     job.conn->in_flight.fetch_sub(1, std::memory_order_release);
     Wake();
   }
 }
 
-bool Server::HandleReadable(const std::shared_ptr<Conn>& conn) {
+bool Server::HandleReadable(const std::shared_ptr<Conn>& conn,
+                            std::vector<Job>* queries) {
   uint8_t buffer[65536];
   for (;;) {
     const ssize_t n = read(conn->fd, buffer, sizeof(buffer));
@@ -257,7 +261,9 @@ bool Server::HandleReadable(const std::shared_ptr<Conn>& conn) {
       std::lock_guard<std::mutex> lock(conn->out_mu);
       handled = conn->session.OnFrame(frame, &conn->outbox);
     }
-    for (const QueryCall& call : handled.queries) DispatchQuery(conn, call);
+    for (const QueryCall& call : handled.queries) {
+      queries->push_back(Job{conn, call});
+    }
     if (handled.close) {
       conn->close_after_flush = true;
       return true;
@@ -309,6 +315,9 @@ void Server::DiscardConn(int fd) {
 void Server::NetworkLoop() {
   std::vector<pollfd> pollfds;
   std::vector<int> fds;
+  std::vector<Job> round_queries;
+  std::vector<int> discard;
+  AnswerScratch scratch;
   for (;;) {
     const bool stopping = stopping_.load(std::memory_order_acquire);
 
@@ -379,35 +388,59 @@ void Server::NetworkLoop() {
       }
     }
 
-    // Service connections. Collect removals first: DiscardConn mutates the
-    // map we're indexing into through `fds`.
-    std::vector<int> discard;
-    for (size_t i = stopping ? 1 : 2; i < pollfds.size(); ++i) {
+    // Pass 1: read every readable session and collect the queries it
+    // decodes. A connection is looked up by fd because DiscardConn removes
+    // it from the map; removals wait until the pass is over.
+    const size_t first_conn = stopping ? 1 : 2;
+    discard.clear();
+    for (size_t i = first_conn; i < pollfds.size(); ++i) {
       const pollfd& entry = pollfds[i];
-      auto it = conns_.find(fds[i]);
-      if (it == conns_.end()) continue;
-      const std::shared_ptr<Conn>& conn = it->second;
       if (entry.revents & (POLLERR | POLLHUP | POLLNVAL)) {
         // Flush nothing; the peer is gone.
         discard.push_back(entry.fd);
         continue;
       }
-      if ((entry.revents & POLLIN) && !HandleReadable(conn)) {
+      if (!(entry.revents & POLLIN)) continue;
+      auto it = conns_.find(fds[i]);
+      if (it == conns_.end()) continue;
+      if (!HandleReadable(it->second, &round_queries)) {
         discard.push_back(entry.fd);
-        continue;
       }
-      if (!FlushConn(conn.get())) {
-        discard.push_back(entry.fd);
+    }
+    for (const int fd : discard) DiscardConn(fd);
+
+    // Pass 2: a round that decoded one query, from a session with no query
+    // in flight, is answered here, so no thread hands it on and pass 3
+    // writes the answer. Any other round goes to the workers, in decode
+    // order, under their budgets.
+    if (round_queries.size() == 1 &&
+        round_queries[0].conn->in_flight.load(std::memory_order_acquire) ==
+            0) {
+      AnswerQuery(*round_queries[0].conn, round_queries[0].call, &scratch);
+      counters_.queries_inline.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      for (Job& job : round_queries) DispatchQuery(std::move(job));
+    }
+    round_queries.clear();
+
+    // Pass 3: flush every session.
+    discard.clear();
+    for (size_t i = first_conn; i < pollfds.size(); ++i) {
+      auto it = conns_.find(fds[i]);
+      if (it == conns_.end()) continue;
+      Conn& conn = *it->second;
+      if (!FlushConn(&conn)) {
+        discard.push_back(fds[i]);
         continue;
       }
       bool flushed;
       {
-        std::lock_guard<std::mutex> lock(conn->out_mu);
-        flushed = conn->out_consumed >= conn->outbox.size();
+        std::lock_guard<std::mutex> lock(conn.out_mu);
+        flushed = conn.out_consumed >= conn.outbox.size();
       }
-      if (conn->close_after_flush && flushed &&
-          conn->in_flight.load(std::memory_order_acquire) == 0) {
-        discard.push_back(entry.fd);
+      if (conn.close_after_flush && flushed &&
+          conn.in_flight.load(std::memory_order_acquire) == 0) {
+        discard.push_back(fds[i]);
       }
     }
     for (const int fd : discard) DiscardConn(fd);

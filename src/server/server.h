@@ -25,15 +25,22 @@
 ///    connections, reads stream bytes into per-session `FrameAssembler`s,
 ///    runs the protocol state machine, answers index probes and bucket
 ///    gets inline (pure reads of the immutable broadcast systems), and
-///    flushes per-session outboxes. QUERY frames are routed to a worker by
-///    the query's home shard (`shard % num_workers`), so a given shard's
-///    working set stays hot on one thread.
-///  - Each worker owns one `ShardedQueryWorkspace` and one reusable
-///    `QueryOutcome` — the query path performs no steady-state heap
-///    allocation — executes jobs from its bounded queue, encodes the
-///    ANSWER, and appends it to the session's outbox (a mutex-guarded byte
-///    buffer, the only state shared between the two sides), then wakes the
-///    network thread through a self-pipe.
+///    flushes per-session outboxes.
+///  - Each poll round runs three passes: read every readable session and
+///    collect the QUERYs it decodes; run or dispatch those queries; flush
+///    every session. A round that decoded exactly one query, from a
+///    session with no query in flight, is answered by the network thread
+///    itself, so the answer is written in the same round with no handoff.
+///    Every other query — pipelined, or from a round with several
+///    sessions' queries — is routed to a worker by the query's home shard
+///    (`shard % num_workers`), so a given shard's working set stays hot on
+///    one thread.
+///  - Each worker, and the network thread, owns one
+///    `ShardedQueryWorkspace` and one reusable `QueryOutcome`. A worker
+///    executes jobs from its bounded queue, encodes the ANSWER, and
+///    appends it to the session's outbox (a mutex-guarded byte buffer, the
+///    only state shared between the two sides), then wakes the network
+///    thread through a self-pipe. Workers never touch a socket.
 ///
 /// Backpressure is explicit, never unbounded buffering: a QUERY that finds
 /// its worker's queue at capacity — or its session over the in-flight
@@ -52,6 +59,13 @@
 namespace lbsq::server {
 
 struct ServerOptions {
+  /// Stated upper bounds, so that a typo cannot ask for thousands of
+  /// threads, an unbounded queue or a retry delay of weeks.
+  static constexpr int kMaxWorkers = 256;
+  static constexpr size_t kMaxQueueCapacity = 65536;
+  static constexpr size_t kMaxInflightLimit = 65536;
+  static constexpr uint32_t kMaxRetryAfterMs = 60000;
+
   /// TCP port to bind on 127.0.0.1 (0 = ephemeral; read it back with
   /// `port()` after Start).
   uint16_t port = 0;
@@ -66,8 +80,9 @@ struct ServerOptions {
   uint32_t retry_after_ms = 10;
 
   /// The first rule these options break (at least one worker, queue slot
-  /// and in-flight query), or null when they are valid. The Server
-  /// constructor aborts on it; lbsq_server reports it as a flag error.
+  /// and in-flight query, and none of the caps above exceeded), or null
+  /// when they are valid. The Server constructor aborts on it; lbsq_server
+  /// reports it as a flag error.
   const char* FirstViolation() const;
 };
 
@@ -118,9 +133,17 @@ class Server {
     bool close_after_flush = false;
   };
 
+  /// One decoded query and the connection it answers.
   struct Job {
     std::shared_ptr<Conn> conn;
     QueryCall call;
+  };
+
+  /// The scratch one answering thread reuses across queries.
+  struct AnswerScratch {
+    core::ShardedQueryWorkspace workspace;
+    core::QueryOutcome outcome;
+    std::vector<uint8_t> frame_bytes;
   };
 
   struct Worker {
@@ -132,11 +155,17 @@ class Server {
 
   void NetworkLoop();
   void WorkerLoop(Worker* worker);
-  /// Reads all available bytes; parses and handles frames. False when the
-  /// connection must be discarded (EOF, read error, framing error).
-  bool HandleReadable(const std::shared_ptr<Conn>& conn);
+  /// Reads all available bytes; parses and handles frames, appending each
+  /// decoded query to `*queries`. False when the connection must be
+  /// discarded (EOF, read error).
+  bool HandleReadable(const std::shared_ptr<Conn>& conn,
+                      std::vector<Job>* queries);
   /// Routes one decoded query: enqueue, or shed with RETRY_AFTER.
-  void DispatchQuery(const std::shared_ptr<Conn>& conn, const QueryCall& call);
+  void DispatchQuery(Job job);
+  /// Executes `call` and appends its ANSWER frame to `conn`'s outbox,
+  /// unless the connection is gone. Workers and the network thread both
+  /// answer through here.
+  void AnswerQuery(Conn& conn, const QueryCall& call, AnswerScratch* scratch);
   /// Writes as much outbox as the socket accepts. False on write error.
   bool FlushConn(Conn* conn);
   /// Marks the connection gone, closes the fd, and forgets it.

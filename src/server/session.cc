@@ -21,6 +21,8 @@ void ServerCounters::ExportTo(MetricsRegistry* registry) const {
                              bytes_sent.load(std::memory_order_relaxed));
   registry->IncrementCounter("server.queries_executed",
                              queries_executed.load(std::memory_order_relaxed));
+  registry->IncrementCounter("server.queries_inline",
+                             queries_inline.load(std::memory_order_relaxed));
   registry->IncrementCounter("server.index_probes",
                              index_probes.load(std::memory_order_relaxed));
   registry->IncrementCounter("server.buckets_served",

@@ -26,7 +26,7 @@
 /// Index probes and bucket gets are answered inline — they are pure reads
 /// of the immutable broadcast systems. QUERY frames are *not* executed
 /// here: the session decodes and hands them up via `FrameResult::queries`,
-/// and the owner (a server worker, or the test harness) executes and
+/// and the owner (the server, or the test harness) executes and
 /// encodes the ANSWER. Every protocol violation emits one ERROR frame and
 /// closes the session; the server never aborts on client bytes.
 
@@ -42,7 +42,11 @@ struct ServerCounters {
   std::atomic<int64_t> frames_sent{0};
   std::atomic<int64_t> bytes_received{0};
   std::atomic<int64_t> bytes_sent{0};
+  /// Every query answered, on a worker or on the network thread.
   std::atomic<int64_t> queries_executed{0};
+  /// The share of `queries_executed` the network thread answered itself
+  /// (a poll round's lone query; see server.h).
+  std::atomic<int64_t> queries_inline{0};
   std::atomic<int64_t> index_probes{0};
   std::atomic<int64_t> buckets_served{0};
   std::atomic<int64_t> retry_after_sent{0};

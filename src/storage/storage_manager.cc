@@ -101,7 +101,8 @@ OpenStatus DecodeHeaderPayload(const uint8_t* data, size_t size,
   if (!reader.ok() || reader.remaining() != 0) {
     return OpenStatus::kBadHeaderChecksum;
   }
-  if (*page_size < kMinPageSize || *page_count < 1) {
+  if (*page_size < kMinPageSize || *page_size > kMaxPageSize ||
+      *page_count < 1) {
     return OpenStatus::kBadHeaderChecksum;
   }
   return OpenStatus::kOk;
@@ -156,6 +157,7 @@ const char* OpenStatusName(OpenStatus status) {
 MemoryStorageManager::MemoryStorageManager(size_t page_size)
     : page_size_(page_size) {
   LBSQ_CHECK_GE(page_size_, kMinPageSize);
+  LBSQ_CHECK_LE(page_size_, kMaxPageSize);
   pages_.emplace_back();  // page 0: header placeholder, never written
 }
 
@@ -195,6 +197,7 @@ FileStorageManager::~FileStorageManager() {
 std::unique_ptr<FileStorageManager> FileStorageManager::Create(
     const std::string& path, size_t page_size) {
   LBSQ_CHECK_GE(page_size, kMinPageSize);
+  LBSQ_CHECK_LE(page_size, kMaxPageSize);
   // The pid keeps writers in different processes off each other's file.
   std::string temp_path = path + "." + std::to_string(::getpid()) + ".tmp";
   std::FILE* file = std::fopen(temp_path.c_str(), "w+b");
@@ -246,7 +249,9 @@ std::unique_ptr<FileStorageManager> FileStorageManager::Open(
     std::fclose(file);
     return nullptr;
   }
-  // Every page the header declares must be present in full.
+  // Every page the header declares must be present in full. Dividing the
+  // file size, rather than multiplying the page count, keeps a crafted
+  // count from wrapping past the check.
   if (std::fseek(file, 0, SEEK_END) != 0) {
     std::fclose(file);
     return nullptr;
@@ -256,8 +261,8 @@ std::unique_ptr<FileStorageManager> FileStorageManager::Open(
     std::fclose(file);
     return nullptr;
   }
-  if (static_cast<uint64_t>(file_size) <
-      static_cast<uint64_t>(page_count) * page_size) {
+  if (static_cast<uint64_t>(file_size) / page_size <
+      static_cast<uint64_t>(page_count)) {
     *status = OpenStatus::kTruncated;
     std::fclose(file);
     return nullptr;
@@ -353,6 +358,11 @@ bool ReadBlob(const IStorageManager& store, const BlobRef& ref,
   out->clear();
   const size_t page_size = store.page_size();
   const size_t payload_per_page = page_size - kChainPointerBytes;
+  // No blob holds more than the payload of every page in the store; a
+  // larger size is a damaged reference, never an allocation.
+  const uint64_t capacity =
+      static_cast<uint64_t>(store.page_count() - 1) * payload_per_page;
+  if (ref.size > capacity) return false;
   out->reserve(ref.size);
   std::vector<uint8_t> frame(page_size);
   int64_t page = ref.first_page;

@@ -57,6 +57,10 @@ inline constexpr size_t kMinPageSize = 256;
 /// Default page size of the file store (a filesystem-friendly 4 KiB).
 inline constexpr size_t kDefaultPageSize = 4096;
 
+/// Largest supported page size. A reader allocates one page-sized frame,
+/// so a header declaring more is refused rather than allocated.
+inline constexpr size_t kMaxPageSize = size_t{1} << 20;
+
 /// Why an open (or the system-level decode above it) failed. kOk is the
 /// success value so callers can branch on a single status.
 enum class OpenStatus {
@@ -67,7 +71,8 @@ enum class OpenStatus {
   kBadMagic,
   /// The store format version is newer than this build understands.
   kBadVersion,
-  /// The header CRC-32 does not match its payload — corrupted header.
+  /// The header CRC-32 does not match its payload, or the payload is
+  /// malformed or declares an unsupported page size — corrupted header.
   kBadHeaderChecksum,
   /// The file is shorter than the page count the header declares.
   kTruncated,

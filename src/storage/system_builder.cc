@@ -45,7 +45,8 @@ bool DecodePois(const std::vector<uint8_t>& bytes,
                 std::vector<spatial::Poi>* out) {
   broadcast::ByteReader reader(bytes.data(), bytes.size());
   const uint64_t count = reader.GetVarint();
-  if (!reader.ok()) return false;
+  // A POI takes at least a one-byte id and two doubles.
+  if (!reader.ok() || count > reader.remaining() / 17) return false;
   out->clear();
   out->reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
@@ -77,7 +78,9 @@ bool DecodeBuckets(const std::vector<uint8_t>& bytes, uint64_t expected_epoch,
                    std::vector<broadcast::DataBucket>* out) {
   broadcast::ByteReader reader(bytes.data(), bytes.size());
   const uint64_t count = reader.GetVarint();
-  if (!reader.ok()) return false;
+  // A bucket takes at least a one-byte length, its MBR's four doubles and
+  // its CRC trailer.
+  if (!reader.ok() || count > reader.remaining() / 37) return false;
   out->clear();
   out->reserve(count);
   size_t offset = bytes.size() - reader.remaining();
@@ -118,7 +121,7 @@ bool DecodeShardMap(const std::vector<uint8_t>& bytes, uint64_t* num_cells,
   broadcast::ByteReader reader(bytes.data(), bytes.size());
   *num_cells = reader.GetVarint();
   const uint64_t num_shards = reader.GetVarint();
-  if (!reader.ok()) return false;
+  if (!reader.ok() || num_shards > reader.remaining()) return false;
   bounds->clear();
   bounds->reserve(num_shards);
   uint64_t prev = 0;
@@ -151,7 +154,8 @@ bool DecodeCatalog(const std::vector<uint8_t>& bytes,
                    std::vector<CatalogEntry>* out) {
   broadcast::ByteReader reader(bytes.data(), bytes.size());
   const uint64_t count = reader.GetVarint();
-  if (!reader.ok()) return false;
+  // An entry takes at least a kind byte and three one-byte varints.
+  if (!reader.ok() || count > reader.remaining() / 4) return false;
   out->clear();
   out->reserve(count);
   for (uint64_t i = 0; i < count; ++i) {

@@ -71,6 +71,13 @@ expect_flag_error("${LBSQ_SERVER}" 1 --queue-capacity=0)
 expect_flag_error("${LBSQ_SERVER}" 1 --inflight-limit=0)
 expect_flag_error("${LBSQ_SERVER}" 1 --port=65536)
 expect_flag_error("${LBSQ_SERVER}" 1 --port=-1)
+# Every numeric server flag is a whole number: no negative budget wraps to
+# SIZE_MAX, and no trailing junk is ignored.
+expect_flag_error("${LBSQ_SERVER}" 1 --queue-capacity=-1)
+expect_flag_error("${LBSQ_SERVER}" 1 --inflight-limit=-1)
+expect_flag_error("${LBSQ_SERVER}" 1 --retry-ms=-5)
+expect_flag_error("${LBSQ_SERVER}" 1 --workers=2x)
+expect_flag_error("${LBSQ_SERVER}" 1 --run-seconds=1x)
 
 # A store that cannot be opened is refused with its typed status.
 expect_flag_error("${LBSQ_SERVER}" 1 --store=no-such-dir/missing.lbsq)

@@ -11,6 +11,7 @@
 #include "core/sharded_query_engine.h"
 #include "geom/rect.h"
 #include "server/protocol.h"
+#include "server/server.h"
 #include "server/session.h"
 #include "spatial/generators.h"
 
@@ -20,7 +21,7 @@
 /// malformed payloads) — all socket-free, driving the exact code the
 /// server runs. The invariant under test: arbitrary client bytes produce
 /// an ERROR frame and a closed session, never a crash or an LBSQ_CHECK
-/// abort.
+/// abort. Also the server's option rules, checked without starting one.
 
 namespace lbsq::server {
 namespace {
@@ -394,7 +395,7 @@ TEST(SessionTest, WellFormedQueryIsDispatchedNotAnsweredInline) {
   FrameResult result;
   const std::vector<Frame> replies =
       harness.Send(FrameType::kQuery, EncodeQueryCall(call), &result);
-  EXPECT_TRUE(replies.empty());  // answers come from workers
+  EXPECT_TRUE(replies.empty());  // the session's owner answers
   EXPECT_FALSE(result.close);
   ASSERT_EQ(result.queries.size(), 1u);
   EXPECT_EQ(result.queries[0].request_id, 5u);
@@ -465,6 +466,40 @@ TEST(SessionTest, ByeClosesCleanly) {
   EXPECT_EQ(harness.session().state(), Session::State::kClosed);
   // A clean close is not a protocol error.
   EXPECT_EQ(harness.counters().protocol_errors.load(), 0);
+}
+
+// The caps are rules of the options themselves, so a typo is refused
+// before any thread starts; no test starts a server with large budgets.
+TEST(ServerOptionsTest, BudgetsHaveStatedCaps) {
+  ServerOptions options;
+  EXPECT_EQ(options.FirstViolation(), nullptr);
+
+  options.num_workers = ServerOptions::kMaxWorkers;
+  EXPECT_EQ(options.FirstViolation(), nullptr);
+  options.num_workers = ServerOptions::kMaxWorkers + 1;
+  EXPECT_STREQ(options.FirstViolation(), "num_workers <= kMaxWorkers");
+  options.num_workers = 4096;
+  EXPECT_STREQ(options.FirstViolation(), "num_workers <= kMaxWorkers");
+  options.num_workers = 0;
+  EXPECT_STREQ(options.FirstViolation(), "num_workers >= 1");
+  options.num_workers = 1;
+
+  options.worker_queue_capacity = ServerOptions::kMaxQueueCapacity + 1;
+  EXPECT_NE(options.FirstViolation(), nullptr);
+  options.worker_queue_capacity = std::numeric_limits<size_t>::max();
+  EXPECT_NE(options.FirstViolation(), nullptr);
+  options.worker_queue_capacity = ServerOptions::kMaxQueueCapacity;
+  EXPECT_EQ(options.FirstViolation(), nullptr);
+
+  options.session_inflight_limit = std::numeric_limits<size_t>::max();
+  EXPECT_NE(options.FirstViolation(), nullptr);
+  options.session_inflight_limit = ServerOptions::kMaxInflightLimit;
+  EXPECT_EQ(options.FirstViolation(), nullptr);
+
+  options.retry_after_ms = std::numeric_limits<uint32_t>::max() - 4;
+  EXPECT_NE(options.FirstViolation(), nullptr);
+  options.retry_after_ms = ServerOptions::kMaxRetryAfterMs;
+  EXPECT_EQ(options.FirstViolation(), nullptr);
 }
 
 }  // namespace

@@ -24,10 +24,12 @@
 /// End-to-end server tests over real sockets: a Server on an ephemeral
 /// port, the load generator replaying the simulator's workload, and the
 /// answer digest diffed against a `sim::Simulator` run on the same config
-/// — the executable form of the lbsq_load ↔ lbsq_sim parity claim. Plus
-/// the failure modes a network server must survive: mid-session
-/// disconnects, version mismatch over the wire, and overload (backpressure
-/// sheds queries but the replay still lands the exact digest).
+/// — the executable form of the lbsq_load ↔ lbsq_sim parity claim, over
+/// both answer paths (a poll round's lone query is answered on the network
+/// thread, pipelined ones by the workers). Plus the failure modes a network
+/// server must survive: mid-session disconnects, version mismatch over the
+/// wire, and overload (backpressure sheds queries but the replay still
+/// lands the exact digest).
 
 namespace lbsq::server {
 namespace {
@@ -91,10 +93,39 @@ int ConnectRaw(uint16_t port) {
   return fd;
 }
 
+// Pipelined sessions go through the workers; strict request/response
+// sessions are mostly answered on the network thread. Both land the
+// simulator's digest.
 TEST(ServerTest, ReplayDigestMatchesSimulator) {
   const sim::SimConfig config = TestConfig();
   const uint64_t expected = SimulatorDigest(config);
+  const core::ShardedQueryEngine engine = BuildEngine(config);
 
+  for (const int pipeline : {8, 1}) {
+    SCOPED_TRACE("pipeline " + std::to_string(pipeline));
+    ServerOptions options;
+    options.num_workers = 2;
+    Server server(engine, /*epoch=*/0, options);
+    std::string error;
+    ASSERT_TRUE(server.Start(&error)) << error;
+
+    LoadOptions load;
+    load.port = server.port();
+    load.connections = 2;
+    load.pipeline = pipeline;
+    load.queries_per_session = 64;
+    const LoadResult result = ReplayWorkload(config, load);
+    ASSERT_TRUE(result.ok) << result.error;
+    EXPECT_GT(result.queries, 0);
+    EXPECT_GT(result.sessions, 0);
+    EXPECT_EQ(result.digest, expected);
+    server.Stop();
+    EXPECT_EQ(server.counters().queries_executed.load(), result.queries);
+  }
+}
+
+TEST(ServerTest, LoneQueriesAreAnsweredOnTheNetworkThread) {
+  const sim::SimConfig config = TestConfig();
   const core::ShardedQueryEngine engine = BuildEngine(config);
   ServerOptions options;
   options.num_workers = 2;
@@ -102,18 +133,52 @@ TEST(ServerTest, ReplayDigestMatchesSimulator) {
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
 
-  LoadOptions load;
-  load.port = server.port();
-  load.connections = 2;
-  load.pipeline = 8;
-  load.queries_per_session = 64;
-  const LoadResult result = ReplayWorkload(config, load);
-  ASSERT_TRUE(result.ok) << result.error;
-  EXPECT_GT(result.queries, 0);
-  EXPECT_GT(result.sessions, 0);
-  EXPECT_EQ(result.digest, expected);
+  // One session, one query at a time: every poll round decodes exactly one
+  // query from a session with nothing in flight.
+  Client client;
+  ASSERT_TRUE(client.Connect(server.port(), 1, 2, &error)) << error;
+  Rng rng(11);
+  const double side = config.world_side_mi;
+  constexpr int kQueries = 200;
+  for (int i = 0; i < kQueries; ++i) {
+    QueryCall call;
+    call.request_id = static_cast<uint64_t>(i) + 1;
+    call.slot = static_cast<int64_t>(rng.NextBelow(100000));
+    const geom::Point q{rng.Uniform(0.0, side), rng.Uniform(0.0, side)};
+    if (i % 2 == 0) {
+      call.kind = core::QueryKind::kKnn;
+      call.position = q;
+      call.k = 1 + i % 7;
+    } else {
+      call.kind = core::QueryKind::kWindow;
+      call.window = geom::Rect::CenteredSquare(q, side / 10.0);
+    }
+    ASSERT_TRUE(client.SendQuery(call, &error)) << error;
+    QueryAnswer answer;
+    RetryAfter retry;
+    ASSERT_EQ(client.Receive(&answer, &retry, &error), Client::Reply::kAnswer)
+        << error;
+
+    core::QueryRequest request;
+    request.kind = call.kind;
+    request.position = call.position;
+    request.k = call.k;
+    request.window = call.window;
+    request.slot = call.slot;
+    const QueryAnswer want = BuildAnswer(call, engine.Execute(request));
+    EXPECT_EQ(answer.request_id, want.request_id);
+    EXPECT_EQ(answer.epoch, want.epoch);
+    EXPECT_EQ(answer.neighbor_ids, want.neighbor_ids);
+    EXPECT_EQ(answer.neighbor_distances, want.neighbor_distances);
+    EXPECT_EQ(answer.poi_ids, want.poi_ids);
+    EXPECT_EQ(answer.access_latency, want.access_latency);
+    EXPECT_EQ(answer.tuning_time, want.tuning_time);
+    EXPECT_EQ(answer.buckets_read, want.buckets_read);
+  }
+  client.Close();
   server.Stop();
-  EXPECT_EQ(server.counters().queries_executed.load(), result.queries);
+  EXPECT_EQ(server.counters().queries_executed.load(), kQueries);
+  EXPECT_EQ(server.counters().queries_inline.load(), kQueries);
 }
 
 TEST(ServerTest, BackpressureShedsButDigestStaysExact) {

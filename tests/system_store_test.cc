@@ -14,6 +14,7 @@
 #include <bit>
 #include <csignal>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -21,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "broadcast/wire.h"
 #include "common/rng.h"
 #include "sim/metrics.h"
 #include "spatial/generators.h"
@@ -217,6 +219,84 @@ TEST(SystemStoreTest, RejectsCorruptedBlob) {
   EXPECT_EQ(status, OpenStatus::kBadBlob);
 }
 
+/// `blob` with its leading count (after `skip` varints) replaced by `count`.
+std::vector<uint8_t> WithLeadingCount(const std::vector<uint8_t>& blob,
+                                      int skip, uint64_t count) {
+  broadcast::ByteReader reader(blob.data(), blob.size());
+  broadcast::ByteWriter writer;
+  for (int i = 0; i < skip; ++i) writer.PutVarint(reader.GetVarint());
+  reader.GetVarint();
+  writer.PutVarint(count);
+  const size_t rest = reader.remaining();
+  writer.PutBytes(blob.data() + blob.size() - rest, rest);
+  return writer.bytes();
+}
+
+// A blob whose CRC holds but whose leading count no remaining bytes could
+// hold is refused before anything is reserved for that count: the
+// catalog, and through it the shard map, a POI blob and a bucket blob.
+TEST(SystemStoreTest, BlobCountsBeyondTheirBytesAreRefused) {
+  const SystemBuilder builder = LaBuilder();
+  const auto built = builder.BuildFromPois(LaPois());
+  constexpr uint64_t kHugeCount = uint64_t{1} << 60;
+  // Catalog entries: u8 kind (0 shard map, 1 POIs, 2 buckets, 3 index),
+  // then varints shard, first page + 1 and size.
+  struct Target {
+    int kind;  // -1: the catalog itself
+    int skip;  // varints before the count (the shard map leads with cells)
+  };
+  for (const Target target : {Target{-1, 0}, Target{0, 1}, Target{1, 0},
+                              Target{2, 0}}) {
+    SCOPED_TRACE("blob kind " + std::to_string(target.kind));
+    MemoryStorageManager store;
+    ASSERT_TRUE(builder.WriteStore(*built, &store));
+    StoreMeta meta = store.meta();
+    std::vector<uint8_t> catalog;
+    ASSERT_TRUE(ReadBlob(store, {meta.catalog_page, meta.catalog_size},
+                         &catalog));
+    if (target.kind < 0) {
+      catalog = WithLeadingCount(catalog, 0, kHugeCount);
+    } else {
+      broadcast::ByteReader reader(catalog.data(), catalog.size());
+      broadcast::ByteWriter rewritten;
+      const uint64_t entries = reader.GetVarint();
+      rewritten.PutVarint(entries);
+      bool found = false;
+      for (uint64_t i = 0; i < entries; ++i) {
+        const uint8_t kind = reader.GetU8();
+        const uint64_t shard = reader.GetVarint();
+        BlobRef ref;
+        ref.first_page = static_cast<int64_t>(reader.GetVarint()) - 1;
+        ref.size = reader.GetVarint();
+        if (kind == target.kind && !found) {
+          found = true;
+          std::vector<uint8_t> blob;
+          ASSERT_TRUE(ReadBlob(store, ref, &blob));
+          const std::vector<uint8_t> crafted =
+              WithLeadingCount(blob, target.skip, kHugeCount);
+          ref = WriteBlob(&store, crafted.data(), crafted.size());
+        }
+        rewritten.PutU8(kind);
+        rewritten.PutVarint(shard);
+        rewritten.PutVarint(static_cast<uint64_t>(ref.first_page + 1));
+        rewritten.PutVarint(ref.size);
+      }
+      ASSERT_TRUE(reader.ok());
+      ASSERT_TRUE(found);
+      catalog = rewritten.bytes();
+    }
+    const BlobRef catalog_ref =
+        WriteBlob(&store, catalog.data(), catalog.size());
+    meta.catalog_page = catalog_ref.first_page;
+    meta.catalog_size = catalog_ref.size;
+    store.set_meta(meta);
+
+    OpenStatus status = OpenStatus::kOk;
+    EXPECT_EQ(builder.OpenFromStore(store, &status), nullptr);
+    EXPECT_EQ(status, OpenStatus::kBadBlob);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Crash injection. A file store is published whole or not at all, and a
 // damaged store file ends in a typed status, never an abort.
@@ -231,6 +311,58 @@ void WriteFileBytes(const std::filesystem::path& path, const uint8_t* data,
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(reinterpret_cast<const char*>(data),
             static_cast<std::streamsize>(size));
+}
+
+/// The sizes a store header declares; every other header field is kept.
+struct HeaderSizes {
+  uint64_t page_size = 0;
+  uint64_t page_count = 0;
+  uint64_t catalog_size = 0;
+};
+
+/// Rewrites the sizes in the header of the store image `bytes` and
+/// recomputes the header CRC, so that only the bounds on those sizes can
+/// refuse the result. The header is magic, a u32le payload length, then the
+/// payload: version, page size, page count, the fields from the free-list
+/// head to the catalog page (kept as they are), the catalog size, and a
+/// CRC-32 trailer.
+std::vector<uint8_t> WithHeaderSizes(std::vector<uint8_t> bytes,
+                                     const HeaderSizes& sizes) {
+  constexpr size_t kPrefix = 12;
+  uint32_t length = 0;
+  std::memcpy(&length, bytes.data() + 8, 4);
+  const uint8_t* payload = bytes.data() + kPrefix;
+  broadcast::ByteReader reader(payload, length - 4);
+  const uint8_t version = reader.GetU8();
+  reader.GetVarint();  // page size
+  reader.GetVarint();  // page count
+  const size_t kept_begin = length - 4 - reader.remaining();
+  for (int i = 0; i < 4; ++i) reader.GetVarint();  // free list .. shards
+  for (int i = 0; i < 4; ++i) reader.GetDouble();  // world rect
+  for (int i = 0; i < 4; ++i) reader.GetVarint();  // bucket geometry
+  reader.GetU8();                                  // curve
+  reader.GetU8();                                  // index kind
+  reader.GetVarint();                              // POI count
+  reader.GetVarint();                              // catalog page
+  const size_t kept_end = length - 4 - reader.remaining();
+  reader.GetVarint();  // catalog size
+  EXPECT_TRUE(reader.ok());
+  EXPECT_EQ(reader.remaining(), 0u);
+
+  broadcast::ByteWriter writer;
+  writer.PutU8(version);
+  writer.PutVarint(sizes.page_size);
+  writer.PutVarint(sizes.page_count);
+  writer.PutBytes(payload + kept_begin, kept_end - kept_begin);
+  writer.PutVarint(sizes.catalog_size);
+  std::vector<uint8_t> header = writer.bytes();
+  broadcast::AppendCrc32(&header);
+  EXPECT_LE(kPrefix + header.size(), kMinPageSize);
+  const uint32_t new_length = static_cast<uint32_t>(header.size());
+  std::memcpy(bytes.data() + 8, &new_length, 4);
+  std::fill(bytes.begin() + kPrefix, bytes.begin() + kMinPageSize, 0);
+  std::memcpy(bytes.data() + kPrefix, header.data(), header.size());
+  return bytes;
 }
 
 /// Opens the store file at `path` through both layers; `*engine` is set
@@ -347,6 +479,60 @@ TEST_F(StoreCrashTest, DamagedCopiesEndInTypedStatusOrSameAnswers) {
   }
   EXPECT_GT(refused, 0);
   EXPECT_GT(served, 0);
+}
+
+// A header with a valid CRC can still declare sizes no store has. Each is
+// bounded by the bytes that hold it: the catalog by the store's pages, the
+// page count by the file size, and the page size by a stated cap.
+TEST_F(StoreCrashTest, ImpossibleHeaderSizesEndInTypedStatus) {
+  const SystemBuilder builder = LaBuilder();
+  const auto built = builder.BuildFromPois(LaPois());
+  const uint64_t digest = WorkloadDigest(*built);
+  const std::filesystem::path path = dir_ / "la.lbsq";
+  {
+    auto store = FileStorageManager::Create(path.string(), kDefaultPageSize);
+    ASSERT_NE(store, nullptr);
+    ASSERT_TRUE(builder.WriteStore(*built, store.get()));
+  }
+  const std::vector<uint8_t> bytes = ReadFileBytes(path);
+  HeaderSizes sizes;
+  {
+    OpenStatus status = OpenStatus::kOk;
+    const auto store = FileStorageManager::Open(path.string(), &status);
+    ASSERT_NE(store, nullptr);
+    sizes.page_size = store->page_size();
+    sizes.page_count = static_cast<uint64_t>(store->page_count());
+    sizes.catalog_size = store->meta().catalog_size;
+  }
+  const std::filesystem::path copy = dir_ / "copy.lbsq";
+  const auto open_with = [&](const HeaderSizes& crafted) {
+    const std::vector<uint8_t> damaged = WithHeaderSizes(bytes, crafted);
+    WriteFileBytes(copy, damaged.data(), damaged.size());
+    std::unique_ptr<core::ShardedQueryEngine> engine;
+    const OpenStatus status = OpenEngine(builder, copy, &engine);
+    if (status == OpenStatus::kOk) {
+      EXPECT_EQ(WorkloadDigest(*engine), digest);
+    }
+    return status;
+  };
+
+  // The rewrite itself changes nothing.
+  EXPECT_EQ(open_with(sizes), OpenStatus::kOk);
+
+  HeaderSizes huge_catalog = sizes;
+  huge_catalog.catalog_size = uint64_t{1} << 62;
+  EXPECT_EQ(open_with(huge_catalog), OpenStatus::kBadBlob);
+
+  // 2^62 pages of 4 KiB: the product wraps past 2^64.
+  HeaderSizes wrapping_count = sizes;
+  wrapping_count.page_count = uint64_t{1} << 62;
+  EXPECT_EQ(open_with(wrapping_count), OpenStatus::kTruncated);
+
+  HeaderSizes huge_page = sizes;
+  huge_page.page_size = uint64_t{1} << 63;
+  EXPECT_EQ(open_with(huge_page), OpenStatus::kBadHeaderChecksum);
+  huge_page.page_size = kMaxPageSize + 1;
+  EXPECT_EQ(open_with(huge_page), OpenStatus::kBadHeaderChecksum);
 }
 
 TEST_F(StoreCrashTest, InterruptedWritersLeaveTheLastStore) {

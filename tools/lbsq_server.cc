@@ -12,11 +12,13 @@
 //   lbsq_server --port=4750 --shards=4 --workers=4
 //   lbsq_server --port=0 --run-seconds=60     # ephemeral port, timed run
 //   lbsq_server --store=la.lbsq --port=4750   # serve a lbsq_store_build store
+#include <cctype>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -46,11 +48,13 @@ void PrintUsage() {
       "Deployment:\n"
       "  --port=<n>                       TCP port on 127.0.0.1 (0 = "
       "ephemeral; default 0)\n"
-      "  --workers=<n>                    query worker threads (2)\n"
-      "  --queue-capacity=<n>             bounded per-worker queue (256)\n"
-      "  --inflight-limit=<n>             per-session outstanding budget "
-      "(64)\n"
-      "  --retry-ms=<n>                   RETRY_AFTER suggested delay (10)\n"
+      "  --workers=<n>                    query worker threads, 1-256 (2)\n"
+      "  --queue-capacity=<n>             bounded per-worker queue, 1-65536 "
+      "(256)\n"
+      "  --inflight-limit=<n>             per-session outstanding budget, "
+      "1-65536 (64)\n"
+      "  --retry-ms=<n>                   RETRY_AFTER suggested delay, "
+      "0-60000 (10)\n"
       "  --run-seconds=<n>                exit after n seconds (0 = until "
       "SIGINT/SIGTERM)\n"
       "\n"
@@ -78,6 +82,23 @@ bool ParseFlag(const char* arg, const char* name, std::string* value) {
     return true;
   }
   return false;
+}
+
+/// Reads the whole of `value` as a base-10 integer in 0-`max` into `*out`.
+/// Otherwise prints one line naming `flag` and returns false. (An
+/// out-of-range strtoull result is ULLONG_MAX, above every `max` here.)
+template <typename T>
+bool ParseWhole(const char* flag, const std::string& value, T max, T* out) {
+  char* end = nullptr;
+  const unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
+  if (value.empty() || !std::isdigit(static_cast<unsigned char>(value[0])) ||
+      *end != '\0' || parsed > static_cast<unsigned long long>(max)) {
+    std::fprintf(stderr, "%s must be a whole number in 0-%llu\n", flag,
+                 static_cast<unsigned long long>(max));
+    return false;
+  }
+  *out = static_cast<T>(parsed);
+  return true;
 }
 
 }  // namespace
@@ -108,25 +129,39 @@ int main(int argc, char** argv) {
       PrintUsage();
       return 0;
     } else if (ParseFlag(arg, "--port", &value)) {
-      char* end = nullptr;
-      const long port = std::strtol(value.c_str(), &end, 10);
-      if (value.empty() || *end != '\0' || port < 0 || port > 65535) {
-        std::fprintf(stderr, "--port must be an integer in 0-65535\n");
+      if (!ParseWhole("--port", value, uint16_t{65535}, &options.port)) {
         return 1;
       }
-      options.port = static_cast<uint16_t>(port);
     } else if (ParseFlag(arg, "--workers", &value)) {
-      options.num_workers = std::atoi(value.c_str());
+      // Each budget parses up to its stated cap; FirstViolation below
+      // rejects a zero.
+      if (!ParseWhole("--workers", value, server::ServerOptions::kMaxWorkers,
+                      &options.num_workers)) {
+        return 1;
+      }
     } else if (ParseFlag(arg, "--queue-capacity", &value)) {
-      options.worker_queue_capacity =
-          static_cast<size_t>(std::atoll(value.c_str()));
+      if (!ParseWhole("--queue-capacity", value,
+                      server::ServerOptions::kMaxQueueCapacity,
+                      &options.worker_queue_capacity)) {
+        return 1;
+      }
     } else if (ParseFlag(arg, "--inflight-limit", &value)) {
-      options.session_inflight_limit =
-          static_cast<size_t>(std::atoll(value.c_str()));
+      if (!ParseWhole("--inflight-limit", value,
+                      server::ServerOptions::kMaxInflightLimit,
+                      &options.session_inflight_limit)) {
+        return 1;
+      }
     } else if (ParseFlag(arg, "--retry-ms", &value)) {
-      options.retry_after_ms = static_cast<uint32_t>(std::atoi(value.c_str()));
+      if (!ParseWhole("--retry-ms", value,
+                      server::ServerOptions::kMaxRetryAfterMs,
+                      &options.retry_after_ms)) {
+        return 1;
+      }
     } else if (ParseFlag(arg, "--run-seconds", &value)) {
-      run_seconds = std::atoi(value.c_str());
+      if (!ParseWhole("--run-seconds", value,
+                      std::numeric_limits<int>::max(), &run_seconds)) {
+        return 1;
+      }
     } else if (ParseFlag(arg, "--store", &value)) {
       store_path = value;
     } else {
@@ -211,6 +246,7 @@ int main(int argc, char** argv) {
       "sessions opened/closed  : %lld / %lld\n"
       "frames in/out           : %lld / %lld\n"
       "queries executed        : %lld\n"
+      "queries inline          : %lld\n"
       "index probes            : %lld\n"
       "buckets served          : %lld\n"
       "retry-after sent        : %lld\n"
@@ -220,6 +256,7 @@ int main(int argc, char** argv) {
       static_cast<long long>(counters.frames_received.load()),
       static_cast<long long>(counters.frames_sent.load()),
       static_cast<long long>(counters.queries_executed.load()),
+      static_cast<long long>(counters.queries_inline.load()),
       static_cast<long long>(counters.index_probes.load()),
       static_cast<long long>(counters.buckets_served.load()),
       static_cast<long long>(counters.retry_after_sent.load()),
